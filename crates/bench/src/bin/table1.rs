@@ -113,7 +113,9 @@ fn main() {
         write_table_json(path, &args, threads, hidden, feat, &rows, &cells);
     }
 
-    multi_branch_section(&args, threads, hidden, feat, warmup, runs);
+    if let Some(path) = &args.report {
+        report_pass(path, args.full, threads, hidden, feat);
+    }
     profiler.finish();
 }
 
@@ -161,20 +163,12 @@ fn write_table_json(
     }
 }
 
-/// Parallel-executor workload: K independent RNN `While` branches in one
-/// graph, measured single-threaded and with the configured thread count.
-/// Fetch outputs must be bitwise identical; the speedup (and machine
-/// parallelism) go to stdout and optionally `--json`.
-fn multi_branch_section(
-    args: &HarnessArgs,
-    threads: usize,
-    hidden: usize,
-    feat: usize,
-    warmup: usize,
-    runs: usize,
-) {
+/// One fully-instrumented run of a 4-branch RNN graph on a default
+/// (VM) session: memory accounting, pool utilization and critical path,
+/// written as `RunReport` JSON for the `autograph-report diff` gate.
+fn report_pass(path: &str, full: bool, threads: usize, hidden: usize, feat: usize) {
     let branches = 4;
-    let (seq, batch) = if args.full { (64, 64) } else { (16, 8) };
+    let (seq, batch) = if full { (64, 64) } else { (16, 8) };
     let weights: Vec<rnn::RnnWeights> = (0..branches)
         .map(|k| rnn::RnnWeights::new(feat, hidden, 100 + k as u64))
         .collect();
@@ -185,75 +179,20 @@ fn multi_branch_section(
         ("sequence_len", inp.sequence_len.clone()),
     ];
     let (g, fetches) = rnn::build_multi_branch(&weights);
-
+    let mut sess = Session::new(g);
+    sess.set_threads(threads);
+    // an unreported first run compiles the plan and lowers the bytecode
+    // program, so the report times execution only
+    sess.run(&feeds, &fetches).expect("warm-up run");
+    sess.set_reporting(true);
+    sess.run(&feeds, &fetches).expect("reported run");
+    let report = sess.last_report().expect("reporting was enabled");
     println!(
-        "\nParallel executor: {branches} independent RNN branches (seq {seq} / batch {batch})"
+        "\nRun report: {branches} independent RNN branches (seq {seq} / batch {batch})\n{}",
+        report.render_text()
     );
-    // this section benchmarks the wavefront scheduler, so pin the
-    // interpretive tier: the bytecode VM executes linearly on the
-    // calling thread and would erase the t1-vs-tN comparison
-    let mut sess1 = Session::new(g.clone());
-    sess1.set_exec_mode(ExecMode::Interp);
-    sess1.set_threads(1);
-    let out1 = sess1.run(&feeds, &fetches).expect("single-threaded run");
-    let s1 = measure(warmup, runs, || {
-        sess1.run(&feeds, &fetches).expect("single-threaded run");
-    });
-
-    let mut sess_n = Session::new(g);
-    sess_n.set_exec_mode(ExecMode::Interp);
-    sess_n.set_threads(threads);
-    let out_n = sess_n.run(&feeds, &fetches).expect("parallel run");
-    let sn = measure(warmup, runs, || {
-        sess_n.run(&feeds, &fetches).expect("parallel run");
-    });
-
-    // determinism gate: parallel fetches must be bitwise identical
-    let mut identical = true;
-    for (a, b) in out1.iter().zip(&out_n) {
-        let (av, bv) = (a.as_f32().expect("f32"), b.as_f32().expect("f32"));
-        identical &=
-            a.shape() == b.shape() && av.iter().zip(bv).all(|(x, y)| x.to_bits() == y.to_bits());
-    }
-    assert!(identical, "parallel run diverged from single-threaded run");
-
-    let speedup = s1.mean / sn.mean;
-    row(
-        "threads=1",
-        &[format!("{:.3} ms", s1.mean * 1e3), String::new()],
-    );
-    row(
-        &format!("threads={threads}"),
-        &[
-            format!("{:.3} ms", sn.mean * 1e3),
-            format!("{speedup:.2}x speedup"),
-        ],
-    );
-    println!("fetch outputs bitwise identical: {identical}");
-
-    if let Some(path) = &args.json {
-        let json = format!(
-            "{{\n  \"bench\": \"table1_multi_branch\",\n  \"branches\": {branches},\n  \"seq\": {seq},\n  \"batch\": {batch},\n  \"threads\": {threads},\n  \"available_parallelism\": {},\n  \"seconds_threads_1\": {:.9},\n  \"seconds_threads_n\": {:.9},\n  \"speedup\": {speedup:.6},\n  \"bitwise_identical\": {identical}\n}}\n",
-            autograph_par::available_parallelism(),
-            s1.mean,
-            sn.mean,
-        );
-        match std::fs::write(path, json) {
-            Ok(()) => eprintln!("wrote parallel bench results to {path}"),
-            Err(e) => eprintln!("failed to write {path}: {e}"),
-        }
-    }
-
-    if let Some(path) = &args.report {
-        // one fully-instrumented pass: memory accounting, scheduler
-        // utilization and critical path for the multi-branch workload
-        sess_n.set_reporting(true);
-        sess_n.run(&feeds, &fetches).expect("reported run");
-        let report = sess_n.last_report().expect("reporting was enabled");
-        println!("\n{}", report.render_text());
-        match std::fs::write(path, report.to_json()) {
-            Ok(()) => eprintln!("wrote run report to {path}"),
-            Err(e) => eprintln!("failed to write {path}: {e}"),
-        }
+    match std::fs::write(path, report.to_json()) {
+        Ok(()) => eprintln!("wrote run report to {path}"),
+        Err(e) => eprintln!("failed to write {path}: {e}"),
     }
 }

@@ -1,6 +1,10 @@
 //! The graph evaluator: executes nodes in a precomputed topological plan,
 //! handling feeds, variables, and functional control flow.
 //!
+//! This is the `ExecMode::Interp` tier: one node at a time on the
+//! calling thread, at every thread count. It is the reference semantics
+//! the bytecode VM ([`crate::vm`]) is checked against bitwise.
+//!
 //! Every node evaluation runs inside a `catch_unwind` boundary: a kernel
 //! panic becomes a [`GraphError`] carrying the node name and staged
 //! source span instead of aborting the process. Run limits (deadline,
@@ -38,9 +42,6 @@ pub struct ExecEnv<'a> {
 #[derive(Debug, Clone)]
 pub struct Plan {
     order: Vec<NodeId>,
-    /// Scheduling metadata (consumer lists, pending counts, control
-    /// edges) for the parallel executor; computed once at compile time.
-    wave: crate::sched::WaveMeta,
     /// The fetch set the plan was compiled for; fusion in the bytecode
     /// tier must keep these nodes materialized.
     fetches: Vec<NodeId>,
@@ -77,10 +78,8 @@ impl Plan {
         }
         // nodes are stored in creation order, which is already topological
         let order: Vec<NodeId> = (0..graph.nodes.len()).filter(|&i| needed[i]).collect();
-        let wave = crate::sched::wave_meta(graph, order.clone());
         Ok(Plan {
             order,
-            wave,
             fetches: fetches.to_vec(),
             vm: std::sync::OnceLock::new(),
         })
@@ -175,61 +174,18 @@ impl Plan {
             .collect()
     }
 
-    /// Execute the plan with up to `threads` threads. `threads <= 1`
-    /// reproduces [`Plan::run`] exactly (same code path); larger values
-    /// dispatch ready nodes to the shared worker pool via the wavefront
-    /// scheduler in `crate::sched`. Results are bitwise identical at
-    /// any thread count — see the determinism notes in `sched.rs`.
-    ///
-    /// # Errors
-    ///
-    /// Returns runtime errors annotated with the failing node's name and
-    /// staged source span; under parallel execution the first error wins
-    /// and remaining queued nodes are skipped.
-    pub fn run_threads(
-        &self,
-        graph: &Graph,
-        env: &mut ExecEnv<'_>,
-        fetches: &[NodeId],
-        threads: usize,
-    ) -> Result<Vec<GValue>> {
-        self.run_threads_ctx(graph, env, fetches, threads, &RunCtx::unbounded())
-    }
-
-    /// [`Plan::run_threads`] under explicit run limits.
-    pub(crate) fn run_threads_ctx(
-        &self,
-        graph: &Graph,
-        env: &mut ExecEnv<'_>,
-        fetches: &[NodeId],
-        threads: usize,
-        ctx: &RunCtx,
-    ) -> Result<Vec<GValue>> {
-        if threads <= 1 {
-            return self.run_ctx(graph, env, fetches, ctx);
-        }
-        autograph_par::configure(threads);
-        crate::sched::run_plan_parallel(graph, &self.wave, env, fetches, ctx)
-    }
-
     /// Execute the plan through the compiled bytecode tier (see
     /// [`crate::compile`] and [`crate::vm`]). The program is lowered on
     /// the first call and cached on the plan. The VM's instruction
     /// stream is linear on the calling thread, so results are bitwise
-    /// identical at every thread count by construction; `threads` still
-    /// configures the worker pool for tensor kernels that parallelize
-    /// internally.
+    /// identical at every thread count by construction.
     pub(crate) fn run_vm_ctx(
         &self,
         graph: &Graph,
         env: &mut ExecEnv<'_>,
         fetches: &[NodeId],
-        threads: usize,
         ctx: &RunCtx,
     ) -> Result<Vec<GValue>> {
-        if threads > 1 {
-            autograph_par::configure(threads);
-        }
         let program = self
             .vm
             .get_or_init(|| {

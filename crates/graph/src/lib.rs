@@ -16,7 +16,7 @@
 //! * [`optimize`] — whole-program graph optimizations: constant folding,
 //!   common-subexpression elimination, dead-code elimination;
 //! * [`report`] — per-run [`report::RunReport`]s: memory accounting,
-//!   scheduler utilization, and critical-path analysis;
+//!   worker-pool utilization, and critical-path analysis;
 //! * [`shapes`] — static shape inference + staging-time validation (the
 //!   Appendix B future-work extension).
 //!
@@ -50,7 +50,6 @@ pub mod ops;
 pub mod optimize;
 pub mod report;
 pub mod run;
-pub(crate) mod sched;
 pub mod session;
 pub mod shapes;
 pub(crate) mod vm;
@@ -62,7 +61,7 @@ pub use ir::{Graph, NodeId, OpKind, PassRecord, ProvSource, SubGraph};
 pub use optimize::{ElimRecord, OptTrace};
 pub use report::{CriticalPath, MemReport, NodeCost, RunReport, SchedReport, WorkerReport};
 pub use run::{CancelToken, RunOptions};
-pub use session::{set_default_exec_mode, ExecMode, NodeSelfTime, Session, SessionStats};
+pub use session::{ExecMode, NodeSelfTime, Session, SessionStats};
 
 /// Crate-wide result alias.
 pub type Result<T> = std::result::Result<T, GraphError>;

@@ -1,4 +1,4 @@
-//! Per-run structured reports: memory accounting, scheduler
+//! Per-run structured reports: memory accounting, worker-pool
 //! utilization, and critical-path analysis over the executed plan.
 //!
 //! When [`crate::Session::set_reporting`] is on, every run collects
@@ -6,8 +6,8 @@
 //! through [`crate::run::RunCtx`]), diffs the tensor memory ledger
 //! (`autograph_tensor::mem`) and the worker-pool meters
 //! (`autograph_par::pool_snapshot`) around the run, and folds the
-//! per-node self-times over the plan DAG — data edges plus the
-//! scheduler's control edges — to find the critical path. The result is
+//! per-node self-times over the plan DAG — data edges plus
+//! per-resource control edges — to find the critical path. The result is
 //! a [`RunReport`] with a JSON serialization (parseable by the
 //! `autograph-report` tool) and a human-readable text rendering.
 //!
@@ -19,12 +19,12 @@
 //! node's line item. Memory and pool counters are process-wide;
 //! concurrent reporting sessions see each other's traffic.
 
-use crate::ir::{Graph, NodeId};
+use crate::ir::{Graph, NodeId, OpKind};
 use autograph_pylang::Span;
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Per-node cost accumulators for one run, indexed by `NodeId`.
-/// Atomics because the wavefront scheduler records from worker threads.
 #[derive(Debug, Default)]
 pub(crate) struct Collector {
     self_ns: Vec<AtomicU64>,
@@ -92,13 +92,14 @@ pub struct WorkerReport {
     pub utilization: f64,
 }
 
-/// Scheduler utilization for one run.
+/// Worker-pool utilization for one run: the `parallel_for` chunks that
+/// large kernels split across the `autograph-par` pool.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SchedReport {
     /// Threads whose metered counters advanced during the run.
     pub workers: Vec<WorkerReport>,
     /// Aggregate utilization: total busy time across workers divided by
-    /// `threads × wall`. 0 on the sequential path (no pool tasks).
+    /// `threads × wall`. 0 when no kernel split across the pool.
     pub utilization: f64,
     /// Largest ready-queue depth observed at injection.
     pub queue_depth_max: u64,
@@ -307,10 +308,97 @@ fn ratio(num: f64, den: f64) -> f64 {
     }
 }
 
+/// A stateful resource that forces ordering between nodes.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+enum Resource {
+    /// A named session variable (read = `Variable`, write = `Assign`).
+    Var(String),
+    /// The output stream shared by `Print` and `Assert` nodes.
+    Io,
+}
+
+/// Record `op`'s resource accesses into `acc` (`true` = write). Control
+/// flow recurses into its subgraphs so a `While`/`Cond` is ordered
+/// against everything its body touches.
+fn node_accesses(op: &OpKind, acc: &mut HashMap<Resource, bool>) {
+    fn touch(acc: &mut HashMap<Resource, bool>, res: Resource, write: bool) {
+        let e = acc.entry(res).or_insert(false);
+        *e = *e || write;
+    }
+    match op {
+        OpKind::Variable { name } => touch(acc, Resource::Var(name.clone()), false),
+        OpKind::Assign { name } => touch(acc, Resource::Var(name.clone()), true),
+        OpKind::Print(_) | OpKind::AssertOp(_) => touch(acc, Resource::Io, true),
+        OpKind::Cond { then_g, else_g } => {
+            graph_accesses(&then_g.graph, acc);
+            graph_accesses(&else_g.graph, acc);
+        }
+        OpKind::While { cond_g, body_g, .. } => {
+            graph_accesses(&cond_g.graph, acc);
+            graph_accesses(&body_g.graph, acc);
+        }
+        _ => {}
+    }
+}
+
+fn graph_accesses(g: &Graph, acc: &mut HashMap<Resource, bool>) {
+    for n in &g.nodes {
+        node_accesses(&n.op, acc);
+    }
+}
+
+/// Downstream nodes per node of `order` (indexed by `NodeId`): data-edge
+/// consumers plus per-resource control edges in program order. A
+/// variable read follows the preceding write; a write follows every read
+/// since the previous write; `Print`/`Assert` form one chain.
+fn edge_lists(graph: &Graph, order: &[NodeId]) -> Vec<Vec<NodeId>> {
+    let mut consumers: Vec<Vec<NodeId>> = vec![Vec::new(); graph.nodes.len()];
+    for &id in order {
+        for &inp in &graph.nodes[id].inputs {
+            consumers[inp].push(id);
+        }
+    }
+    struct Chain {
+        last_write: Option<NodeId>,
+        reads_since: Vec<NodeId>,
+    }
+    let mut chains: HashMap<Resource, Chain> = HashMap::new();
+    let mut acc: HashMap<Resource, bool> = HashMap::new();
+    for &id in order {
+        acc.clear();
+        node_accesses(&graph.nodes[id].op, &mut acc);
+        for (res, write) in acc.drain() {
+            let chain = chains.entry(res).or_insert(Chain {
+                last_write: None,
+                reads_since: Vec::new(),
+            });
+            if write {
+                if chain.reads_since.is_empty() {
+                    if let Some(w) = chain.last_write {
+                        consumers[w].push(id);
+                    }
+                } else {
+                    for &r in &chain.reads_since {
+                        consumers[r].push(id);
+                    }
+                    chain.reads_since.clear();
+                }
+                chain.last_write = Some(id);
+            } else {
+                if let Some(w) = chain.last_write {
+                    consumers[w].push(id);
+                }
+                chain.reads_since.push(id);
+            }
+        }
+    }
+    consumers
+}
+
 /// Longest path over the plan DAG, weighting each node by its measured
-/// self-time. Edges are the data inputs plus the scheduler's
-/// per-resource control edges, so the chain reflects what the parallel
-/// executor actually must serialize.
+/// self-time. Edges are the data inputs plus the per-resource control
+/// edges, so the chain is what any schedule of the plan must
+/// serialize.
 fn critical_path(
     graph: &Graph,
     order: &[NodeId],
@@ -323,7 +411,7 @@ fn critical_path(
         return CriticalPath::default();
     }
     let n = graph.nodes.len();
-    let (consumers, _) = crate::sched::edge_lists(graph, order);
+    let consumers = edge_lists(graph, order);
     let mut dist: Vec<u64> = vec![0; n];
     let mut prev: Vec<Option<NodeId>> = vec![None; n];
     for &id in order {

@@ -6,7 +6,7 @@
 //! runaway loop must be killable, a stuck run must time out, and a caller
 //! must always get a structured error (never a hang, never an abort).
 //! [`RunOptions`] is the per-run knob set; [`RunCtx`] is the internal
-//! carrier threaded through `exec.rs` and `sched.rs`, which also
+//! carrier threaded through `exec.rs` and `vm.rs`, which also
 //! accumulates progress counters so `Session::stats()` reflects work done
 //! even when the run fails.
 
@@ -99,8 +99,7 @@ impl RunOptions {
 }
 
 /// The internal per-run state threaded through both executors: limits to
-/// enforce plus progress counters (atomics — the parallel scheduler
-/// bumps them from worker threads).
+/// enforce plus progress counters.
 #[derive(Debug, Default)]
 pub(crate) struct RunCtx {
     /// Absolute wall-clock cutoff, precomputed from the deadline.

@@ -3,18 +3,16 @@
 //!
 //! ## Threads
 //!
-//! `Session::run` dispatches through the parallel wavefront scheduler
-//! when more than one thread is available. The thread count resolves in
-//! priority order:
+//! Both execution modes run the plan on the calling thread. The thread
+//! count only sizes the `autograph-par` pool that large kernels split
+//! their work across (`parallel_for` row/element chunks), so results
+//! are bitwise identical at every count. It resolves in priority order:
 //!
 //! 1. [`Session::set_threads`] on this session;
 //! 2. the process-wide default from [`set_default_threads`] (what bench
 //!    binaries set from `--threads`);
 //! 3. the `AUTOGRAPH_THREADS` environment variable;
 //! 4. the machine's available parallelism.
-//!
-//! A resolved count of 1 runs the original sequential executor; any
-//! other count produces bitwise-identical results (see `sched.rs`).
 
 use crate::exec::{ExecEnv, Plan};
 use crate::ir::{GValue, Graph, NodeId};
@@ -25,86 +23,27 @@ use autograph_obs as obs;
 use autograph_par as par;
 use autograph_tensor::Tensor;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// Process-wide thread default set by [`set_default_threads`];
 /// 0 = unset.
 static DEFAULT_THREADS: AtomicUsize = AtomicUsize::new(0);
 
-/// How a session executes its compiled plans.
+/// How a session executes its compiled plans: [`ExecMode::Vm`] unless
+/// [`Session::set_exec_mode`] says otherwise.
 ///
 /// Both modes produce bitwise-identical results (locked down by the
 /// VM-vs-interpreter differential test wall); they differ only in cost.
-/// The mode resolves in priority order:
-///
-/// 1. [`Session::set_exec_mode`] on this session;
-/// 2. the process-wide default from [`set_default_exec_mode`];
-/// 3. the `AUTOGRAPH_EXEC` environment variable (`"interp"` / `"vm"`);
-/// 4. [`ExecMode::Vm`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecMode {
-    /// Per-node interpretive dispatch over the graph (the original
-    /// executor; the only mode that uses the parallel wavefront
-    /// scheduler at `threads > 1`).
+    /// Per-node interpretive dispatch over the graph: the reference
+    /// executor the VM is checked against.
     Interp,
     /// Compiled register-bytecode execution with fused elementwise
     /// kernels and buffer recycling (see `crate::compile` /
     /// `crate::vm`).
     Vm,
-}
-
-/// Process-wide exec-mode default; 0 = unset, 1 = interp, 2 = vm.
-static DEFAULT_EXEC: AtomicU8 = AtomicU8::new(0);
-
-/// Set the process-wide default execution mode for sessions that don't
-/// call [`Session::set_exec_mode`]. `AUTOGRAPH_EXEC` is only consulted
-/// while this is unset.
-pub fn set_default_exec_mode(mode: ExecMode) {
-    let v = match mode {
-        ExecMode::Interp => 1,
-        ExecMode::Vm => 2,
-    };
-    DEFAULT_EXEC.store(v, Ordering::Relaxed);
-}
-
-/// `AUTOGRAPH_EXEC`, parsed once per process.
-fn env_exec_mode() -> Option<ExecMode> {
-    static CACHE: OnceLock<Option<ExecMode>> = OnceLock::new();
-    *CACHE.get_or_init(|| {
-        match std::env::var("AUTOGRAPH_EXEC")
-            .ok()?
-            .trim()
-            .to_ascii_lowercase()
-            .as_str()
-        {
-            "interp" | "interpreter" => Some(ExecMode::Interp),
-            "vm" | "bytecode" => Some(ExecMode::Vm),
-            _ => None,
-        }
-    })
-}
-
-/// The execution mode a session created without [`Session::set_exec_mode`]
-/// would resolve to right now — the process default, then `AUTOGRAPH_EXEC`,
-/// then [`ExecMode::Vm`]. The persistent plan cache folds this into its
-/// cache key so an interp-mode process never loads a VM-mode artifact's
-/// accounting expectations (and vice versa).
-pub fn default_exec_mode() -> ExecMode {
-    resolve_exec_mode(None)
-}
-
-/// Resolve the effective execution mode for a session (see [`ExecMode`]
-/// for the priority order).
-fn resolve_exec_mode(session_mode: Option<ExecMode>) -> ExecMode {
-    if let Some(m) = session_mode {
-        return m;
-    }
-    match DEFAULT_EXEC.load(Ordering::Relaxed) {
-        1 => ExecMode::Interp,
-        2 => ExecMode::Vm,
-        _ => env_exec_mode().unwrap_or(ExecMode::Vm),
-    }
 }
 
 /// Set the process-wide default thread count for sessions that don't
@@ -332,8 +271,8 @@ pub struct Session {
     plans: HashMap<Vec<NodeId>, Plan>,
     stats: Arc<SessionStatsShared>,
     threads: Option<usize>,
-    exec_mode: Option<ExecMode>,
-    /// Whether runs collect a [`RunReport`] (memory accounting, scheduler
+    exec_mode: ExecMode,
+    /// Whether runs collect a [`RunReport`] (memory accounting, pool
     /// utilization, critical path). Off by default: the run path then
     /// pays only an `Option` check per node.
     reporting: bool,
@@ -351,7 +290,7 @@ impl Session {
             plans: HashMap::new(),
             stats: Arc::new(SessionStatsShared::default()),
             threads: None,
-            exec_mode: None,
+            exec_mode: ExecMode::Vm,
             reporting: false,
             last_report: None,
         }
@@ -363,8 +302,7 @@ impl Session {
     }
 
     /// Pin this session's thread count, overriding the process default
-    /// and `AUTOGRAPH_THREADS`. `1` reproduces the sequential executor
-    /// exactly.
+    /// and `AUTOGRAPH_THREADS`. `1` spawns no pool workers.
     pub fn set_threads(&mut self, threads: usize) -> &mut Session {
         self.threads = Some(threads.max(1));
         self
@@ -375,16 +313,16 @@ impl Session {
         resolve_threads(self.threads)
     }
 
-    /// Pin this session's execution mode, overriding the process default
-    /// and `AUTOGRAPH_EXEC`.
+    /// Pin this session's execution mode (the default is
+    /// [`ExecMode::Vm`]).
     pub fn set_exec_mode(&mut self, mode: ExecMode) -> &mut Session {
-        self.exec_mode = Some(mode);
+        self.exec_mode = mode;
         self
     }
 
     /// The execution mode the next `run` call will use.
     pub fn effective_exec_mode(&self) -> ExecMode {
-        resolve_exec_mode(self.exec_mode)
+        self.exec_mode
     }
 
     /// Enable or disable per-run reporting. While enabled, every run
@@ -464,8 +402,8 @@ impl Session {
     /// [`Session::run`] under explicit limits: a wall-clock deadline, a
     /// global while-iteration cap, and/or a [`crate::run::CancelToken`]
     /// another thread can trigger. Limits are checked at every node
-    /// dispatch and loop iteration on both the sequential and parallel
-    /// paths; a tripped limit returns a
+    /// dispatch and loop iteration in both execution modes; a tripped
+    /// limit returns a
     /// [`GraphError`](crate::GraphError) whose
     /// `is_cancelled()`/`is_deadline_exceeded()` predicate holds, with
     /// [`Session::stats`] still reflecting the work done up to that
@@ -558,10 +496,13 @@ impl Session {
         } else {
             None
         };
+        if threads > 1 {
+            par::configure(threads);
+        }
         let t0 = std::time::Instant::now();
-        let result = match resolve_exec_mode(self.exec_mode) {
-            ExecMode::Vm => plan.run_vm_ctx(&self.graph, &mut env, fetches, threads, &ctx),
-            ExecMode::Interp => plan.run_threads_ctx(&self.graph, &mut env, fetches, threads, &ctx),
+        let result = match self.exec_mode {
+            ExecMode::Vm => plan.run_vm_ctx(&self.graph, &mut env, fetches, &ctx),
+            ExecMode::Interp => plan.run_ctx(&self.graph, &mut env, fetches, &ctx),
         };
         // fold progress into the session counters on success AND failure:
         // stats after a failed run reflect the work done before the error

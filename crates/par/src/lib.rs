@@ -1,27 +1,22 @@
 //! # autograph-par
 //!
-//! A process-wide persistent worker pool shared by the graph scheduler
-//! (inter-op parallelism: independent graph nodes dispatched as tasks)
-//! and the tensor kernels (intra-op parallelism: [`parallel_for`] over
-//! row/element ranges).
+//! A process-wide persistent worker pool for intra-op parallelism: the
+//! tensor kernels split large matmuls and elementwise loops into
+//! disjoint row/element chunks with [`parallel_for`]. Graph execution
+//! itself stays on the calling thread.
 //!
 //! ## Design
 //!
-//! * **One global injector queue.** Tasks from every concurrent run — the
-//!   top-level wavefront, nested `While`/`Cond` bodies, data-parallel
-//!   kernel chunks — share a single FIFO. Workers are spawned once
+//! * **One global injector queue.** Chunk tasks from every concurrent
+//!   [`parallel_for`] share a single FIFO. Workers are spawned once
 //!   ([`configure`]) and park on a condvar when idle.
-//! * **Helping, not blocking.** A thread that must wait for a set of
-//!   tasks to finish ([`help_until`]) pops and executes queued tasks —
-//!   any run's tasks — instead of sleeping. This is what makes nested
-//!   scheduling deadlock-free: whenever a run is incomplete, its
-//!   remaining work is either queued (any helper can pick it up) or
-//!   already executing on some thread, so global progress is guaranteed
-//!   even when every worker is itself waiting on a nested run.
-//! * **Determinism-friendly.** The pool imposes no ordering of its own;
-//!   callers express ordering through their own dependency counts. A
-//!   [`parallel_for`] chunk is computed by exactly one thread with the
-//!   same per-element order as the sequential loop, so results are
+//! * **Helping, not blocking.** A caller waiting for its chunks to
+//!   finish pops and executes queued tasks — any caller's tasks —
+//!   instead of sleeping. This makes nested `parallel_for` deadlock-free:
+//!   whenever a loop is incomplete, its remaining work is either queued
+//!   (any helper can pick it up) or already executing on some thread.
+//! * **Deterministic.** A chunk is computed by exactly one thread with
+//!   the same per-element order as the sequential loop, so results are
 //!   bitwise identical to a single-threaded run.
 //!
 //! Observability: every task execution opens a `par/task` span (visible
@@ -44,18 +39,18 @@ use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 /// A unit of work: an erased function pointer applied to an erased state
-/// pointer plus a small integer argument (typically a node or chunk id).
+/// pointer plus a small integer argument (the chunk-claimer index).
 ///
-/// `Task` is deliberately not a boxed closure: runs borrow stack-local
-/// state (graph, value slots, dependency counters) and erase the lifetime
-/// when injecting; the soundness contract is documented on [`inject`].
-pub struct Task {
-    /// Erased pointer to the run state shared by a batch of tasks.
-    pub data: *const (),
-    /// Per-task argument (node id, chunk index, ...).
-    pub arg: usize,
+/// `Task` is deliberately not a boxed closure: [`parallel_for`] borrows
+/// stack-local state and erases the lifetime when injecting; the
+/// soundness contract is documented on [`inject`].
+struct Task {
+    /// Erased pointer to the state shared by a batch of tasks.
+    data: *const (),
+    /// Per-task argument.
+    arg: usize,
     /// Entry point: called exactly once as `run(data, arg)`.
-    pub run: unsafe fn(*const (), usize),
+    run: unsafe fn(*const (), usize),
 }
 
 // SAFETY: a Task is only a (pointer, fn) pair; the pointee is required by
@@ -174,9 +169,9 @@ fn run_task(task: Task) {
     // The pool must survive a panicking task: without this boundary a
     // panic would kill the worker thread (shrinking the pool forever) or
     // unwind through an unrelated caller helping from `help_until`.
-    // Run-level bookkeeping is the task entry's job — both schedulers'
-    // entries catch panics themselves and record a structured failure, so
-    // a payload reaching this backstop has already been accounted for.
+    // Job-level bookkeeping is the task entry's job — `parallel_for`'s
+    // entry catches body panics itself and re-raises them on the caller,
+    // so a payload reaching this backstop has already been accounted for.
     let r = catch_unwind(AssertUnwindSafe(|| {
         // SAFETY: upheld by the `inject` caller — the task state is alive
         // and shareable until the task completes.
@@ -323,7 +318,7 @@ pub fn pool_snapshot() -> PoolSnapshot {
 /// task's execution. The canonical pattern: the injecting thread keeps
 /// the state alive on its stack and calls [`help_until`] with a predicate
 /// that only becomes true after every injected task has finished running.
-pub unsafe fn inject<I: IntoIterator<Item = Task>>(tasks: I) {
+unsafe fn inject<I: IntoIterator<Item = Task>>(tasks: I) {
     let s = shared();
     let depth;
     let before;
@@ -346,7 +341,7 @@ pub unsafe fn inject<I: IntoIterator<Item = Task>>(tasks: I) {
 }
 
 /// Pop and execute one queued task, if any. Returns whether a task ran.
-pub fn try_run_one() -> bool {
+fn try_run_one() -> bool {
     let task = lock_unpoisoned(&shared().queue).pop_front();
     match task {
         Some(t) => {
@@ -361,7 +356,7 @@ pub fn try_run_one() -> bool {
 /// is empty. This is the "wait by helping" primitive: callers never block
 /// on in-flight work, they contribute to draining the queue, which makes
 /// nested fork-join on the shared pool deadlock-free.
-pub fn help_until(done: impl Fn() -> bool) {
+fn help_until(done: impl Fn() -> bool) {
     while !done() {
         if !try_run_one() {
             std::thread::yield_now();

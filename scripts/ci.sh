@@ -13,9 +13,9 @@ cargo clippy --workspace --all-targets -- -D warnings
 # pool, the serving layer (which must turn every failure into a
 # structured HTTP response, never an abort), and the plan store (a
 # corrupt cache artifact must fall back to cold staging, never abort)
-# ban unwrap/expect crate-wide; the graph executors (exec.rs, sched.rs)
-# carry the same module-level #![deny], which the workspace clippy pass
-# above enforces
+# ban unwrap/expect crate-wide; the graph executor (exec.rs) carries
+# the same module-level #![deny], which the workspace clippy pass above
+# enforces
 echo "== cargo clippy (no unwrap/expect in fault, executor & serving paths)"
 cargo clippy -p autograph-faults -p autograph-par -p autograph-serve -p autograph-planstore --no-deps -- \
     -D warnings -D clippy::unwrap_used -D clippy::expect_used
@@ -23,9 +23,10 @@ cargo clippy -p autograph-faults -p autograph-par -p autograph-serve -p autograp
 echo "== cargo build --release"
 cargo build --release --workspace
 
-# the suite runs twice: once forced sequential, once through the
-# parallel wavefront scheduler — both must be green and the differential
-# / determinism tests assert the outputs are bitwise identical
+# the suite runs twice: once forced sequential, once with large kernels
+# split across a 4-thread worker pool (parallel_for chunking) — both
+# must be green and the differential / determinism tests assert the
+# outputs are bitwise identical
 echo "== cargo test (AUTOGRAPH_THREADS=1)"
 AUTOGRAPH_THREADS=1 cargo test -q --workspace
 
@@ -79,10 +80,9 @@ for dot in target/explain_rnn_loop.dot target/explain_fused_elementwise.dot \
     head -1 "$dot" | grep -q '^digraph' || { echo "FAIL: $dot is not a digraph"; exit 1; }
 done
 
-echo "== bench artifacts (BENCH_table1.json + BENCH_parallel.json + BENCH_report.json)"
+echo "== bench artifacts (BENCH_table1.json + BENCH_report.json)"
 cargo run --release -q -p autograph-bench --bin table1 -- \
     --runs 5 --threads 4 \
-    --json BENCH_parallel.json \
     --json-table BENCH_table1.json \
     --report BENCH_report.json
 
@@ -143,7 +143,7 @@ trap - EXIT
 # are the load-bearing serve gates. Regenerate baselines on a quiet
 # machine with:
 #   scripts/ci.sh --update-baselines   (or copy BENCH_*.json to baselines/)
-GATED_BASELINES=(BENCH_table1.json BENCH_parallel.json BENCH_report.json BENCH_serve.json BENCH_stage.json)
+GATED_BASELINES=(BENCH_table1.json BENCH_report.json BENCH_serve.json BENCH_stage.json)
 if [[ "${1:-}" == "--update-baselines" ]]; then
     echo "== updating committed baselines (baselines/)"
     mkdir -p baselines
@@ -163,9 +163,6 @@ else
     echo "== perf-regression gate (autograph-report diff vs baselines/)"
     cargo run --release -q -p autograph-report --bin autograph-report -- \
         diff baselines/BENCH_table1.json BENCH_table1.json --tol-pct 60
-    cargo run --release -q -p autograph-report --bin autograph-report -- \
-        diff baselines/BENCH_parallel.json BENCH_parallel.json \
-        --tol-pct 60 --tol speedup=75 --tol seconds=75
     cargo run --release -q -p autograph-report --bin autograph-report -- \
         diff baselines/BENCH_report.json BENCH_report.json --tol-pct 60
     cargo run --release -q -p autograph-report --bin autograph-report -- \

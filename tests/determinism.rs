@@ -1,10 +1,9 @@
-//! Determinism of the parallel executor: a reduction-heavy graph run
+//! Determinism across thread counts: a reduction-heavy graph run
 //! repeatedly at varying thread counts must produce results **bitwise
-//! identical** to the single-threaded executor. The scheduler
-//! parallelizes across nodes and splits kernels into disjoint index
-//! chunks, but never changes any per-element accumulation order and
-//! never accumulates through atomics — so floating-point results cannot
-//! drift with the thread count.
+//! identical** to a single-threaded run. Threads only split kernels into
+//! disjoint index chunks; no per-element accumulation order changes and
+//! nothing accumulates through atomics — so floating-point results
+//! cannot drift with the thread count.
 
 use autograph::graph::builder::GraphBuilder;
 use autograph::graph::ir::{Graph, NodeId, OpKind};

@@ -11,12 +11,15 @@
 //!   the `plan_cache_corrupt` counter, never error or panic;
 //! - **invalidation matrix** — editing the source, changing the staging
 //!   flags (function name), or bumping the version tag must each miss;
-//!   the untouched configuration must keep hitting;
+//!   the untouched configuration must keep hitting, and a warm hit run
+//!   through either execution mode must match the cold result;
 //! - **concurrency** — two sessions warming the same empty directory
 //!   must both succeed and leave exactly one artifact and no temp
 //!   files behind.
 
 use autograph::runtime::plan_cache::compile_cached_with;
+use autograph::runtime::CompiledFunction;
+use autograph::ExecMode;
 use autograph_planstore::{self as planstore, PlanStore};
 use autograph_tensor::Tensor;
 use std::path::PathBuf;
@@ -47,6 +50,11 @@ fn compile_and_fingerprint(
 ) -> (bool, Vec<u32>) {
     let art = compile_cached_with(src, name, &["x"], store, tag).expect("compile");
     let mut func = art.func;
+    (art.from_cache, fingerprint(&mut func))
+}
+
+/// The f32 bit patterns of every output of `func` for every probe input.
+fn fingerprint(func: &mut CompiledFunction) -> Vec<u32> {
     let mut bits = Vec::new();
     for v in PROBES {
         let out = func.call(&[Tensor::scalar_f32(v)]).expect("call");
@@ -54,7 +62,7 @@ fn compile_and_fingerprint(
             bits.extend(t.to_f32_vec().iter().map(|x| x.to_bits()));
         }
     }
-    (art.from_cache, bits)
+    bits
 }
 
 /// The single `.agpc` artifact in a store directory.
@@ -209,6 +217,25 @@ fn invalidation_matrix() {
     let (h, bits) = compile_and_fingerprint(&two, "f", Some(&store), tag);
     assert!(h, "untouched configuration stopped hitting");
     assert_eq!(bits, warm_bits);
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The execution mode is not a cache-key axis: a warm-hit function
+/// switched to the interpreter reproduces the cold VM result bitwise.
+#[test]
+fn warm_hit_in_interp_mode_matches_cold_vm_bitwise() {
+    let dir = tmp_dir("mode");
+    let store = PlanStore::open(&dir).expect("open store");
+    let tag = "wall-mode-v1";
+
+    let (c, cold_vm_bits) = compile_and_fingerprint(SRC, "f", Some(&store), tag);
+    assert!(!c, "fresh store reported a hit");
+    let art = compile_cached_with(SRC, "f", &["x"], Some(&store), tag).expect("compile");
+    assert!(art.from_cache, "unchanged configuration must hit");
+    let mut func = art.func;
+    func.set_exec_mode(ExecMode::Interp);
+    assert_eq!(fingerprint(&mut func), cold_vm_bits);
 
     let _ = std::fs::remove_dir_all(&dir);
 }

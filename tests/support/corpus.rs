@@ -274,5 +274,16 @@ pub fn programs() -> Vec<Program> {
             feeds: vec![("x", v(vec![1.0, 2.0], &[2]))],
             lantern: false,
         },
+        Program {
+            name: "wide_matmul_tanh",
+            // 2·64³ flops clears the matmul kernel's parallel threshold, so
+            // at threads > 1 its rows split across the worker pool
+            src: "def f(x, w):\n    return tf.tanh(tf.matmul(x, w))\n",
+            feeds: vec![
+                ("x", Rng64::new(64).normal_tensor(&[64, 64], 1.0)),
+                ("w", Rng64::new(65).normal_tensor(&[64, 64], 0.125)),
+            ],
+            lantern: true,
+        },
     ]
 }

@@ -1,7 +1,7 @@
 //! The VM-vs-interpreter differential test wall: every corpus program,
 //! staged once and executed through both tiers ([`ExecMode::Interp`]
-//! and [`ExecMode::Vm`]) at 1 and 4 threads, must produce **bitwise
-//! identical** outputs. The compiled tier (register bytecode, fused
+//! at 1 thread, [`ExecMode::Vm`] at 1 and 4 threads), must produce
+//! **bitwise identical** outputs. The compiled tier (register bytecode, fused
 //! elementwise kernels, buffer recycling) is pure cost model — it is
 //! never allowed to change a result.
 //!
@@ -70,77 +70,74 @@ fn vm_outputs_bitwise_identical_to_interpreter() {
             1,
         );
 
-        for mode in [ExecMode::Interp, ExecMode::Vm] {
-            for threads in [1usize, 4] {
-                let (out, report, stats) =
-                    run_mode(&staged.graph, &staged.outputs, &p.feeds, mode, threads);
-                check::assert_bitwise_eq(
+        for (mode, threads) in [
+            (ExecMode::Interp, 1usize),
+            (ExecMode::Vm, 1),
+            (ExecMode::Vm, 4),
+        ] {
+            let (out, report, stats) =
+                run_mode(&staged.graph, &staged.outputs, &p.feeds, mode, threads);
+            check::assert_bitwise_eq(
+                p.name,
+                &format!("{mode:?} t{threads} vs Interp t1"),
+                &out,
+                &reference,
+            );
+
+            // the exec mode is a run-time choice; staging already
+            // happened, so the warning set cannot have changed
+            let warnings_now: Vec<String> =
+                rt.warnings().iter().map(|w| format!("{w:?}")).collect();
+            assert_eq!(
+                warnings_now, warnings_before,
+                "{}: {mode:?} t{threads}: conversion warnings drifted",
+                p.name
+            );
+
+            // ledger balance: every byte the run allocated (arena
+            // reuse included) is either freed or still live
+            let alloc_delta = report.mem.allocated_bytes as i128 - report.mem.freed_bytes as i128;
+            let live_delta =
+                report.mem.live_bytes_end as i128 - report.mem.live_bytes_start as i128;
+            assert_eq!(
+                alloc_delta, live_delta,
+                "{}: {mode:?} t{threads}: ledger imbalance",
+                p.name
+            );
+
+            // same work accounting: both executors are linear on the
+            // calling thread at any thread count, so the VM's
+            // dispatch counts must match the interpreter's exactly
+            assert_eq!(
+                stats.nodes_executed, ref_stats.nodes_executed,
+                "{}: {mode:?} t{threads}: dispatch count drifted",
+                p.name
+            );
+            assert_eq!(
+                stats.while_iters, ref_stats.while_iters,
+                "{}: {mode:?} t{threads}: while iterations drifted",
+                p.name
+            );
+            assert_eq!(
+                report.while_iters, ref_report.while_iters,
+                "{}: {mode:?} t{threads}: report while_iters drifted",
+                p.name
+            );
+
+            // every attributed cost keeps a real source span — the
+            // provenance/explain contract through fused kernels
+            for c in &report.node_costs {
+                assert!(
+                    !c.span.is_synthetic(),
+                    "{}: {mode:?} t{threads}: node {} '{}' ({}) lost its span",
                     p.name,
-                    &format!("{mode:?} t{threads} vs Interp t1"),
-                    &out,
-                    &reference,
+                    c.node,
+                    c.name,
+                    c.op
                 );
-
-                // the exec mode is a run-time choice; staging already
-                // happened, so the warning set cannot have changed
-                let warnings_now: Vec<String> =
-                    rt.warnings().iter().map(|w| format!("{w:?}")).collect();
-                assert_eq!(
-                    warnings_now, warnings_before,
-                    "{}: {mode:?} t{threads}: conversion warnings drifted",
-                    p.name
-                );
-
-                // ledger balance: every byte the run allocated (arena
-                // reuse included) is either freed or still live
-                let alloc_delta =
-                    report.mem.allocated_bytes as i128 - report.mem.freed_bytes as i128;
-                let live_delta =
-                    report.mem.live_bytes_end as i128 - report.mem.live_bytes_start as i128;
-                assert_eq!(
-                    alloc_delta, live_delta,
-                    "{}: {mode:?} t{threads}: ledger imbalance",
-                    p.name
-                );
-
-                // same work accounting: the VM is linear on the calling
-                // thread at any thread count, so its dispatch counts
-                // must match the sequential interpreter exactly (the
-                // parallel interpreter's scheduler accounts differently
-                // and is not part of this contract)
-                if mode == ExecMode::Vm {
-                    assert_eq!(
-                        stats.nodes_executed, ref_stats.nodes_executed,
-                        "{}: {mode:?} t{threads}: dispatch count drifted",
-                        p.name
-                    );
-                }
-                assert_eq!(
-                    stats.while_iters, ref_stats.while_iters,
-                    "{}: {mode:?} t{threads}: while iterations drifted",
-                    p.name
-                );
-                assert_eq!(
-                    report.while_iters, ref_report.while_iters,
-                    "{}: {mode:?} t{threads}: report while_iters drifted",
-                    p.name
-                );
-
-                // every attributed cost keeps a real source span — the
-                // provenance/explain contract through fused kernels
-                for c in &report.node_costs {
-                    assert!(
-                        !c.span.is_synthetic(),
-                        "{}: {mode:?} t{threads}: node {} '{}' ({}) lost its span",
-                        p.name,
-                        c.node,
-                        c.name,
-                        c.op
-                    );
-                    assert!(c.evals > 0, "{}: zero-eval cost entry", p.name);
-                }
-                assert!(report.succeeded);
+                assert!(c.evals > 0, "{}: zero-eval cost entry", p.name);
             }
+            assert!(report.succeeded);
         }
     }
 }
@@ -174,34 +171,4 @@ fn vm_repeated_runs_are_bitwise_stable() {
         assert_eq!(sess.stats().plan_cache_misses, 1, "{}", p.name);
         assert_eq!(sess.stats().plan_cache_hits, 3, "{}", p.name);
     }
-}
-
-#[test]
-fn vm_live_memory_returns_to_baseline() {
-    // the VM's arena recycles buffers within a run but owns nothing
-    // beyond it: after the session drops, live bytes return to where
-    // they started
-    autograph::tensor::mem::track_begin();
-    let p = &programs()[0];
-    let mut rt = Runtime::load(p.src, true).expect("load");
-    let args: Vec<GraphArg> = p
-        .feeds
-        .iter()
-        .map(|(n, _)| GraphArg::Placeholder((*n).to_string()))
-        .collect();
-    let staged = rt.stage_to_graph("f", args).expect("stage");
-    let live0 = autograph::tensor::mem::snapshot().live_bytes;
-    {
-        let mut sess = Session::new(staged.graph.clone());
-        sess.set_exec_mode(ExecMode::Vm);
-        sess.set_threads(1);
-        for _ in 0..5 {
-            sess.run(&p.feeds, &staged.outputs).expect("run");
-        }
-    }
-    let live1 = autograph::tensor::mem::snapshot().live_bytes;
-    assert_eq!(
-        live0, live1,
-        "live bytes did not return to baseline after VM session drop"
-    );
 }
