@@ -17,7 +17,7 @@
 //! * `While`/`Cond` become explicit control instructions referencing
 //!   sub-procedures compiled from their (pruned) subgraphs;
 //! * chains of elementwise ops collapse into single
-//!   [`autograph_tensor::fused::FusedSpec`] loop kernels, with a
+//!   [`autograph_tensor::fused::FusedSpec`] tiled kernels, with a
 //!   `cover` table mapping the fused kernel back to every source node it
 //!   absorbed (spans survive fusion — the provenance/explain layer and
 //!   the chaos fault sites keep working);
@@ -128,7 +128,7 @@ pub(crate) enum IKind {
     },
 }
 
-/// A fused elementwise group: the single-loop kernel plus the covered
+/// A fused elementwise group: the tiled kernel plus the covered
 /// source nodes (in execution order, root last) for fault/obs/cost
 /// parity and exact op-by-op fallback.
 #[derive(Debug)]

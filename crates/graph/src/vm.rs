@@ -12,7 +12,7 @@
 //!   walk through an `Option<GValue>` side table;
 //! * subgraph frames are flat register files reused across `While`
 //!   iterations;
-//! * fused instructions evaluate whole elementwise chains in one loop
+//! * fused instructions evaluate whole elementwise chains in one tiled pass
 //!   over the data (falling back to exact op-by-op dispatch whenever
 //!   eligibility — all-f32, broadcast-compatible — does not hold, or
 //!   when per-op observability spans were requested);
@@ -409,7 +409,7 @@ fn exec_instr(
     }
 }
 
-/// Execute a fused elementwise group: single-loop kernel when eligible,
+/// Execute a fused elementwise group: tiled kernel when a plan exists,
 /// exact op-by-op fallback otherwise. Either way every covered source
 /// node keeps its dispatch count, fault-injection site, and error
 /// attribution.
@@ -425,33 +425,30 @@ fn exec_fused(
     for _ in &group.cover {
         ctx.before_node()?;
     }
-    let srcs: Vec<&GValue> = instr.srcs.iter().map(|&r| &regs[r as usize]).collect();
     // per-op spans only exist on the fallback path; when observability
     // is on, take it so profiles see each op
-    let all_tensors = srcs.iter().all(|v| matches!(v, GValue::Tensor(_)));
-    if !obs::enabled() && all_tensors {
-        let tensors: Vec<&Tensor> = srcs
+    if !obs::enabled() {
+        let tensors: Option<Vec<&Tensor>> = instr
+            .srcs
             .iter()
-            .filter_map(|v| match v {
+            .map(|&r| match &regs[r as usize] {
                 GValue::Tensor(t) => Some(t),
                 _ => None,
             })
             .collect();
-        if group.spec.eligible(&tensors) {
+        // plan once: shape and input access are resolved before any
+        // fault site fires, and evaluation cannot fail after that
+        if let Some(plan) = tensors.as_deref().and_then(|t| group.spec.plan(t)) {
             // fire each covered node's fault site (in execution order)
             // before the kernel, so chaos plans behave identically
             for c in &group.cover {
                 inject_cover(c)?;
             }
-            if let Some(out) = group.spec.try_eval(&tensors, arena) {
-                return Ok(GValue::Tensor(out));
-            }
-            // eligibility raced/failed inside eval: fall through to the
-            // exact path, but don't re-fire injection sites
-            return eval_cover(group, &srcs, false);
+            return Ok(GValue::Tensor(plan.eval(arena)));
         }
     }
-    eval_cover(group, &srcs, true)
+    let srcs: Vec<&GValue> = instr.srcs.iter().map(|&r| &regs[r as usize]).collect();
+    eval_cover(group, &srcs)
 }
 
 /// Fire one covered op's fault-injection site under its own panic
@@ -475,7 +472,7 @@ fn inject_cover(c: &CoverOp) -> Result<()> {
 /// Exact fallback: evaluate the covered ops one by one through the same
 /// kernel table as the interpreter, with per-op fault sites, obs spans,
 /// and innermost-wins error attribution.
-fn eval_cover(group: &FusedGroup, srcs: &[&GValue], with_injects: bool) -> Result<GValue> {
+fn eval_cover(group: &FusedGroup, srcs: &[&GValue]) -> Result<GValue> {
     let mut vals: Vec<Option<GValue>> = vec![None; group.cover.len()];
     for (k, c) in group.cover.iter().enumerate() {
         let inputs: Vec<GValue> = c
@@ -489,10 +486,7 @@ fn eval_cover(group: &FusedGroup, srcs: &[&GValue], with_injects: bool) -> Resul
             })
             .collect::<Result<_>>()?;
         let r = catch_unwind(AssertUnwindSafe(|| -> Result<GValue> {
-            if with_injects {
-                faults::inject("graph", c.mnemonic)
-                    .map_err(|e| GraphError::runtime(e.to_string()))?;
-            }
+            faults::inject("graph", c.mnemonic).map_err(|e| GraphError::runtime(e.to_string()))?;
             if obs::enabled() {
                 obs::count("graph", "node_evals", 1);
                 let _span = obs::span("graph_op", c.mnemonic);

@@ -32,6 +32,7 @@
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Bump when the artifact *payload* encoding changes (graph/program
@@ -207,9 +208,10 @@ pub fn decode_artifact(bytes: &[u8], expect_key: u64) -> Result<&[u8], Corruptio
 }
 
 // ---------------------------------------------------------------------
-// Process-wide counters (feed Session::stats, obs and /metrics)
+// Counters: one set per store, plus the process-wide total (which feeds
+// Session::stats, obs and /metrics)
 
-#[derive(Default)]
+#[derive(Debug, Default)]
 struct Counters {
     hits: AtomicU64,
     misses: AtomicU64,
@@ -220,13 +222,28 @@ struct Counters {
     load_ns: AtomicU64,
 }
 
+impl Counters {
+    fn snapshot(&self) -> StoreStats {
+        StoreStats {
+            hits: self.hits.load(Ordering::Relaxed),
+            misses: self.misses.load(Ordering::Relaxed),
+            corrupt: self.corrupt.load(Ordering::Relaxed),
+            writes: self.writes.load(Ordering::Relaxed),
+            bytes_read: self.bytes_read.load(Ordering::Relaxed),
+            bytes_written: self.bytes_written.load(Ordering::Relaxed),
+            load_ns: self.load_ns.load(Ordering::Relaxed),
+        }
+    }
+}
+
 fn counters() -> &'static Counters {
     static C: std::sync::OnceLock<Counters> = std::sync::OnceLock::new();
     C.get_or_init(Counters::default)
 }
 
-/// A snapshot of the process-wide plan-cache counters (all stores in
-/// this process), exported through `/metrics` by `autograph-serve`.
+/// A snapshot of plan-cache counters: of one store ([`PlanStore::stats`])
+/// or of all stores in this process ([`stats`], exported through
+/// `/metrics` by `autograph-serve`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StoreStats {
     /// Artifacts loaded and validated successfully.
@@ -246,28 +263,9 @@ pub struct StoreStats {
     pub load_ns: u64,
 }
 
-/// Count a payload-level corruption discovered *after* the container
-/// checksum passed (e.g. a structural decode failure in the graph
-/// deserializer). Keeps all corruption — framing or payload — on the
-/// same `plan_cache_corrupt` counter the test wall watches.
-pub fn note_corrupt(detail: &str) {
-    counters().corrupt.fetch_add(1, Ordering::Relaxed);
-    autograph_obs::count("planstore", "plan_cache_corrupt", 1);
-    let _ = detail;
-}
-
-/// Snapshot the process-wide counters.
+/// Snapshot the process-wide counters (every store in this process).
 pub fn stats() -> StoreStats {
-    let c = counters();
-    StoreStats {
-        hits: c.hits.load(Ordering::Relaxed),
-        misses: c.misses.load(Ordering::Relaxed),
-        corrupt: c.corrupt.load(Ordering::Relaxed),
-        writes: c.writes.load(Ordering::Relaxed),
-        bytes_read: c.bytes_read.load(Ordering::Relaxed),
-        bytes_written: c.bytes_written.load(Ordering::Relaxed),
-        load_ns: c.load_ns.load(Ordering::Relaxed),
-    }
+    counters().snapshot()
 }
 
 // ---------------------------------------------------------------------
@@ -293,10 +291,11 @@ pub enum Load {
 }
 
 /// A directory of plan artifacts, one file per cache key
-/// (`<key:016x>.agpc`).
+/// (`<key:016x>.agpc`). Clones share one set of counters.
 #[derive(Debug, Clone)]
 pub struct PlanStore {
     dir: PathBuf,
+    counters: Arc<Counters>,
 }
 
 impl PlanStore {
@@ -308,7 +307,32 @@ impl PlanStore {
     pub fn open(dir: impl Into<PathBuf>) -> std::io::Result<PlanStore> {
         let dir = dir.into();
         std::fs::create_dir_all(&dir)?;
-        Ok(PlanStore { dir })
+        Ok(PlanStore {
+            dir,
+            counters: Arc::default(),
+        })
+    }
+
+    /// Snapshot this store's counters (it and its clones only; the
+    /// process-wide total is [`stats`]).
+    pub fn stats(&self) -> StoreStats {
+        self.counters.snapshot()
+    }
+
+    /// Count a payload-level corruption discovered *after* the container
+    /// checksum passed (e.g. a structural decode failure in the graph
+    /// deserializer). Keeps all corruption — framing or payload — on the
+    /// same `plan_cache_corrupt` counter the test wall watches.
+    pub fn note_corrupt(&self, detail: &str) {
+        self.count(|c| &c.corrupt, 1);
+        autograph_obs::count("planstore", "plan_cache_corrupt", 1);
+        let _ = detail;
+    }
+
+    /// Bump a counter on this store and on the process-wide total.
+    fn count(&self, pick: fn(&Counters) -> &AtomicU64, n: u64) {
+        pick(&self.counters).fetch_add(n, Ordering::Relaxed);
+        pick(counters()).fetch_add(n, Ordering::Relaxed);
     }
 
     /// The store configured by `AUTOGRAPH_PLAN_CACHE`, if the variable
@@ -349,12 +373,12 @@ impl PlanStore {
         let bytes = match std::fs::read(self.path_for(key)) {
             Ok(b) => b,
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                counters().misses.fetch_add(1, Ordering::Relaxed);
+                self.count(|c| &c.misses, 1);
                 autograph_obs::count("planstore", "plan_cache_miss", 1);
                 return Load::Miss;
             }
             Err(e) => {
-                counters().corrupt.fetch_add(1, Ordering::Relaxed);
+                self.count(|c| &c.corrupt, 1);
                 autograph_obs::count("planstore", "plan_cache_corrupt", 1);
                 return Load::Corrupt(format!("read failed: {e}"));
             }
@@ -362,11 +386,9 @@ impl PlanStore {
         match decode_artifact(&bytes, key) {
             Ok(payload) => {
                 let load_ns = t0.elapsed().as_nanos() as u64;
-                let c = counters();
-                c.hits.fetch_add(1, Ordering::Relaxed);
-                c.bytes_read
-                    .fetch_add(bytes.len() as u64, Ordering::Relaxed);
-                c.load_ns.fetch_add(load_ns, Ordering::Relaxed);
+                self.count(|c| &c.hits, 1);
+                self.count(|c| &c.bytes_read, bytes.len() as u64);
+                self.count(|c| &c.load_ns, load_ns);
                 if autograph_obs::enabled() {
                     autograph_obs::count("planstore", "plan_cache_hit", 1);
                     autograph_obs::count("planstore", "plan_cache_bytes_read", bytes.len() as u64);
@@ -379,7 +401,7 @@ impl PlanStore {
                 }
             }
             Err(c) => {
-                counters().corrupt.fetch_add(1, Ordering::Relaxed);
+                self.count(|c| &c.corrupt, 1);
                 autograph_obs::count("planstore", "plan_cache_corrupt", 1);
                 Load::Corrupt(c.to_string())
             }
@@ -410,10 +432,8 @@ impl PlanStore {
         }
         match std::fs::rename(&tmp, self.path_for(key)) {
             Ok(()) => {
-                let c = counters();
-                c.writes.fetch_add(1, Ordering::Relaxed);
-                c.bytes_written
-                    .fetch_add(framed.len() as u64, Ordering::Relaxed);
+                self.count(|c| &c.writes, 1);
+                self.count(|c| &c.bytes_written, framed.len() as u64);
                 if autograph_obs::enabled() {
                     autograph_obs::count("planstore", "plan_cache_write", 1);
                     autograph_obs::count(
@@ -504,7 +524,7 @@ mod tests {
     #[test]
     fn store_save_load_round_trip_and_counters() {
         let store = PlanStore::open(tmp_dir("roundtrip")).unwrap();
-        let before = stats();
+        let before = store.stats();
         assert!(matches!(store.load(9), Load::Miss));
         store.save(9, b"unit payload").unwrap();
         match store.load(9) {
@@ -514,13 +534,36 @@ mod tests {
             }
             other => panic!("expected hit, got {other:?}"),
         }
-        let after = stats();
+        let after = store.stats();
         assert_eq!(after.hits, before.hits + 1);
         assert_eq!(after.misses, before.misses + 1);
         assert_eq!(after.writes, before.writes + 1);
         assert!(after.bytes_read > before.bytes_read);
         assert!(after.bytes_written > before.bytes_written);
         let _ = std::fs::remove_dir_all(store.dir());
+    }
+
+    #[test]
+    fn process_total_counts_every_store() {
+        let (a, b) = (
+            PlanStore::open(tmp_dir("total-a")).unwrap(),
+            PlanStore::open(tmp_dir("total-b")).unwrap(),
+        );
+        let before = stats();
+        assert!(matches!(a.load(1), Load::Miss));
+        assert!(matches!(b.load(1), Load::Miss));
+        b.note_corrupt("payload");
+        // other tests share the process total, so it can only be bounded
+        // below; each store's own counters are exact
+        let after = stats();
+        assert!(after.misses >= before.misses + 2);
+        assert!(after.corrupt > before.corrupt);
+        assert_eq!(a.stats().misses, 1);
+        assert!(matches!(a.clone().load(2), Load::Miss));
+        assert_eq!(a.stats().misses, 2, "clones share counters");
+        assert_eq!((b.stats().misses, b.stats().corrupt), (1, 1));
+        let _ = std::fs::remove_dir_all(a.dir());
+        let _ = std::fs::remove_dir_all(b.dir());
     }
 
     #[test]
@@ -532,9 +575,9 @@ mod tests {
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0xff;
         std::fs::write(&path, &bytes).unwrap();
-        let before = stats().corrupt;
+        let before = store.stats().corrupt;
         assert!(matches!(store.load(3), Load::Corrupt(_)));
-        assert_eq!(stats().corrupt, before + 1);
+        assert_eq!(store.stats().corrupt, before + 1);
         let _ = std::fs::remove_dir_all(store.dir());
     }
 

@@ -115,7 +115,7 @@ pub fn compile_cached_with(
                 Err(e) => {
                     // the checksum passed but the payload didn't decode:
                     // count it as corruption and stage cold
-                    planstore::note_corrupt(&e);
+                    store.note_corrupt(&e);
                 }
             },
             Load::Miss => {}

@@ -343,7 +343,7 @@ fn staged_for_hash(
                             .or_insert(staged),
                     ));
                 }
-                Err(e) => planstore::note_corrupt(&e),
+                Err(e) => store.note_corrupt(&e),
             }
         }
     }

@@ -1,4 +1,4 @@
-//! Fused elementwise kernels: single-loop evaluation of a chain of
+//! Fused elementwise kernels: tiled evaluation of a chain of
 //! elementwise ops, the execution substrate for the graph VM's fusion
 //! tier.
 //!
@@ -11,6 +11,21 @@
 //! result is **bitwise identical** to unfused execution. The win is
 //! structural: one output allocation instead of one per chain link, no
 //! intermediate `Arc`/ledger traffic, and one cache-friendly pass.
+//!
+//! ## Tiles
+//!
+//! The output is evaluated a tile of [`TILE`] consecutive elements at a
+//! time. For each tile the postfix program is walked once, and each step
+//! runs as a tight loop over the whole tile: an `Input` step loads the
+//! tile's operand values (a copy, a fill, or a broadcast gather by
+//! [`BroadcastMap::walk`] — no div/mod per element), a unary step maps a
+//! stack slot in place, a binary step combines two slots. Stack slot 0 is
+//! the output tile itself, so the final value lands in place. Tiling only
+//! changes *when* an element's steps run relative to other elements',
+//! never which `f32` operations it sees or in what order, so every
+//! element is still bitwise equal to op-by-op execution; large outputs
+//! additionally split across the worker pool in disjoint chunks, which
+//! cannot change any element either.
 //!
 //! ## Legality (what may be fused)
 //!
@@ -25,9 +40,9 @@
 //!   per-element evaluation never recomputes divergent state.
 //!
 //! Eligibility is a *runtime* property of the actual inputs
-//! ([`FusedSpec::eligible`]): the caller checks it per execution and
-//! falls back to op-by-op dispatch — which reproduces error messages,
-//! integer semantics and observability exactly — when it does not hold.
+//! ([`FusedSpec::plan`]): the caller plans per execution and falls back
+//! to op-by-op dispatch — which reproduces error messages, integer
+//! semantics and observability exactly — when no plan exists.
 //!
 //! ## Buffer reuse
 //!
@@ -38,9 +53,10 @@
 //! allocations across iterations instead of round-tripping the system
 //! allocator. The memory ledger stays exact: reclaiming records a free,
 //! wrapping a recycled buffer into a tensor records a fresh allocation.
+//! The arena also keeps the sequential path's tile scratch.
 
-use crate::shape::{broadcast_shapes, BroadcastMap};
-use crate::{DType, Tensor};
+use crate::shape::BroadcastMap;
+use crate::{DType, Data, Tensor};
 
 /// Maximum number of distinct input tensors a fused program may read.
 pub const FUSED_MAX_INPUTS: usize = 64;
@@ -48,6 +64,10 @@ pub const FUSED_MAX_INPUTS: usize = 64;
 pub const FUSED_MAX_OPS: usize = 64;
 /// Maximum operand-stack depth a fused program may need.
 pub const FUSED_MAX_STACK: usize = 16;
+/// Output elements evaluated per pass over the postfix program: small
+/// enough that a full operand stack of tiles stays in L1, large enough
+/// that the per-step dispatch amortizes to nothing.
+pub const TILE: usize = 256;
 
 /// One step of a fused elementwise postfix program.
 ///
@@ -96,6 +116,20 @@ pub enum FusedOp {
     Relu,
 }
 
+#[inline(always)]
+fn map1(a: &mut [f32], f: impl Fn(f32) -> f32) {
+    for x in a {
+        *x = f(*x);
+    }
+}
+
+#[inline(always)]
+fn map2(a: &mut [f32], b: &[f32], f: impl Fn(f32, f32) -> f32) {
+    for (x, &y) in a.iter_mut().zip(b) {
+        *x = f(*x, y);
+    }
+}
+
 impl FusedOp {
     /// How many operands the step pops (0 for `Input`).
     pub fn arity(&self) -> usize {
@@ -114,35 +148,35 @@ impl FusedOp {
         }
     }
 
-    #[inline]
-    fn apply1(&self, a: f32) -> f32 {
+    /// Apply a unary step in place over a tile.
+    fn apply1(&self, a: &mut [f32]) {
         match self {
-            FusedOp::Neg => -a,
-            FusedOp::Abs => a.abs(),
-            FusedOp::Sqrt => a.sqrt(),
-            FusedOp::Exp => a.exp(),
-            FusedOp::Log => a.ln(),
-            FusedOp::Square => a * a,
-            FusedOp::Tanh => a.tanh(),
-            FusedOp::Sigmoid => 1.0 / (1.0 + (-a).exp()),
-            FusedOp::Relu => a.max(0.0),
-            _ => f32::NAN,
+            FusedOp::Neg => map1(a, |x| -x),
+            FusedOp::Abs => map1(a, f32::abs),
+            FusedOp::Sqrt => map1(a, f32::sqrt),
+            FusedOp::Exp => map1(a, f32::exp),
+            FusedOp::Log => map1(a, f32::ln),
+            FusedOp::Square => map1(a, |x| x * x),
+            FusedOp::Tanh => map1(a, f32::tanh),
+            FusedOp::Sigmoid => map1(a, |x| 1.0 / (1.0 + (-x).exp())),
+            FusedOp::Relu => map1(a, |x| x.max(0.0)),
+            _ => a.fill(f32::NAN),
         }
     }
 
-    #[inline]
-    fn apply2(&self, a: f32, b: f32) -> f32 {
+    /// Apply a binary step over a tile: `a[j] = a[j] ○ b[j]`.
+    fn apply2(&self, a: &mut [f32], b: &[f32]) {
         match self {
-            FusedOp::Add => a + b,
-            FusedOp::Sub => a - b,
-            FusedOp::Mul => a * b,
-            FusedOp::Div => a / b,
-            FusedOp::FloorDiv => (a / b).floor(),
-            FusedOp::Mod => a.rem_euclid(b),
-            FusedOp::Pow => a.powf(b),
-            FusedOp::Maximum => a.max(b),
-            FusedOp::Minimum => a.min(b),
-            _ => f32::NAN,
+            FusedOp::Add => map2(a, b, |x, y| x + y),
+            FusedOp::Sub => map2(a, b, |x, y| x - y),
+            FusedOp::Mul => map2(a, b, |x, y| x * y),
+            FusedOp::Div => map2(a, b, |x, y| x / y),
+            FusedOp::FloorDiv => map2(a, b, |x, y| (x / y).floor()),
+            FusedOp::Mod => map2(a, b, f32::rem_euclid),
+            FusedOp::Pow => map2(a, b, f32::powf),
+            FusedOp::Maximum => map2(a, b, f32::max),
+            FusedOp::Minimum => map2(a, b, f32::min),
+            _ => a.fill(f32::NAN),
         }
     }
 }
@@ -153,27 +187,49 @@ impl FusedOp {
 pub struct FusedSpec {
     ops: Vec<FusedOp>,
     num_inputs: usize,
+    /// Deepest operand stack the program reaches (tile slots needed).
+    depth: usize,
+    /// Bit `i` set when input slot `i` is pushed by some step.
+    used: u64,
 }
 
-/// How a fused input is addressed per output element.
-enum Access<'a> {
-    /// Input shape equals the output shape: direct indexing.
-    Ident(&'a [f32]),
+/// How a fused input is read for a tile of output elements.
+enum Source<'a> {
+    /// Input shape equals the output shape: a contiguous copy.
+    Dense(&'a [f32]),
     /// Single-element input: one value for every output element.
     Scalar(f32),
-    /// General broadcast: flat output index mapped through strides.
-    Mapped(&'a [f32], BroadcastMap),
+    /// General broadcast: gathered by a strided walk.
+    Broadcast(&'a [f32], BroadcastMap),
+    /// A slot no step pushes.
+    Unused,
 }
 
-impl Access<'_> {
-    #[inline]
-    fn get(&self, i: usize) -> f32 {
-        match self {
-            Access::Ident(v) => v[i],
-            Access::Scalar(x) => *x,
-            Access::Mapped(v, m) => v[m.map(i)],
+/// A fused program bound to concrete inputs: the output shape and how
+/// each input is read are resolved once, so evaluation does no shape
+/// work. Built by [`FusedSpec::plan`]; consumed by [`FusedPlan::eval`].
+pub struct FusedPlan<'a> {
+    spec: &'a FusedSpec,
+    sources: Vec<Source<'a>>,
+    shape: Vec<usize>,
+}
+
+/// Broadcast `shape` into the running joint shape `acc` in place;
+/// `None` when a dimension pair is incompatible.
+fn broadcast_into(acc: &mut Vec<usize>, shape: &[usize]) -> Option<()> {
+    if shape.len() > acc.len() {
+        let grow = shape.len() - acc.len();
+        acc.splice(0..0, std::iter::repeat_n(1, grow));
+    }
+    let offset = acc.len() - shape.len();
+    for (a, &d) in acc[offset..].iter_mut().zip(shape) {
+        if *a == 1 {
+            *a = d;
+        } else if d != 1 && d != *a {
+            return None;
         }
     }
+    Some(())
 }
 
 impl FusedSpec {
@@ -184,13 +240,14 @@ impl FusedSpec {
         if num_inputs > FUSED_MAX_INPUTS || ops.is_empty() || ops.len() > FUSED_MAX_OPS {
             return None;
         }
-        let mut depth: usize = 0;
+        let (mut depth, mut max_depth, mut used) = (0usize, 0usize, 0u64);
         for op in &ops {
             match op {
                 FusedOp::Input(i) => {
                     if *i as usize >= num_inputs {
                         return None;
                     }
+                    used |= 1 << i;
                     depth += 1;
                 }
                 other => {
@@ -204,11 +261,17 @@ impl FusedSpec {
             if depth > FUSED_MAX_STACK {
                 return None;
             }
+            max_depth = max_depth.max(depth);
         }
         if depth != 1 {
             return None;
         }
-        Some(FusedSpec { ops, num_inputs })
+        Some(FusedSpec {
+            ops,
+            num_inputs,
+            depth: max_depth,
+            used,
+        })
     }
 
     /// The postfix steps.
@@ -221,109 +284,140 @@ impl FusedSpec {
         self.num_inputs
     }
 
-    /// Simulate broadcasting through the program, returning the output
-    /// shape — `None` when any step's operands do not broadcast (the
-    /// caller's op-by-op fallback then reproduces the exact error).
-    fn simulate_shape(&self, inputs: &[&Tensor]) -> Option<Vec<usize>> {
-        let mut stack: Vec<Vec<usize>> = Vec::with_capacity(FUSED_MAX_STACK);
-        for op in &self.ops {
-            match op {
-                FusedOp::Input(i) => stack.push(inputs.get(*i as usize)?.shape().to_vec()),
-                other if other.arity() == 1 => {
-                    // unary ops preserve shape
-                    stack.last()?;
-                }
-                other => {
-                    debug_assert_eq!(other.arity(), 2);
-                    let b = stack.pop()?;
-                    let a = stack.pop()?;
-                    stack.push(broadcast_shapes(&a, &b).ok()?);
-                }
-            }
-        }
-        match stack.len() {
-            1 => stack.pop(),
-            _ => None,
-        }
-    }
-
-    /// Whether this program can run fused over these inputs: right input
-    /// count, all `f32`, and every step broadcasts. When this returns
-    /// `false` the caller must dispatch op-by-op.
-    pub fn eligible(&self, inputs: &[&Tensor]) -> bool {
-        inputs.len() == self.num_inputs
-            && inputs.iter().all(|t| t.dtype() == DType::F32)
-            && self.simulate_shape(inputs).is_some()
-    }
-
-    /// Evaluate the fused program in a single loop, drawing the output
-    /// buffer from `arena`. Returns `None` when [`FusedSpec::eligible`]
-    /// does not hold — no side effects in that case.
+    /// Bind the program to `inputs`: right input count, all `f32`, and
+    /// every step broadcasts — `None` otherwise, and the caller must
+    /// dispatch op-by-op (which then reproduces the exact error).
     ///
-    /// The per-element operation chain is identical to op-by-op
-    /// execution, so the result is bitwise equal to the unfused path;
-    /// large outputs split across the worker pool in disjoint chunks
-    /// (which cannot change any element's value).
-    pub fn try_eval(&self, inputs: &[&Tensor], arena: &mut FusedArena) -> Option<Tensor> {
+    /// Elementwise broadcasting composes, so every step of the tree
+    /// broadcasts exactly when the shapes of all the inputs it pushes
+    /// broadcast jointly, and that joint shape is the output shape: one
+    /// fold over the pushed inputs replaces a per-step simulation.
+    pub fn plan<'a>(&'a self, inputs: &[&'a Tensor]) -> Option<FusedPlan<'a>> {
         if inputs.len() != self.num_inputs || inputs.iter().any(|t| t.dtype() != DType::F32) {
             return None;
         }
-        let out_shape = self.simulate_shape(inputs)?;
-        let n: usize = out_shape.iter().product();
-        let mut accesses: Vec<Access<'_>> = Vec::with_capacity(inputs.len());
-        for t in inputs {
+        let pushed = |i: usize| self.used & (1 << i) != 0;
+        let mut shape = Vec::new();
+        for (i, t) in inputs.iter().enumerate() {
+            if pushed(i) {
+                broadcast_into(&mut shape, t.shape())?;
+            }
+        }
+        let mut sources = Vec::with_capacity(inputs.len());
+        for (i, t) in inputs.iter().enumerate() {
             let v = t.as_f32().ok()?;
-            if t.shape() == out_shape.as_slice() {
-                accesses.push(Access::Ident(v));
-            } else if t.num_elements() == 1 {
-                accesses.push(Access::Scalar(*v.first()?));
+            sources.push(if !pushed(i) {
+                Source::Unused
+            } else if t.shape() == shape.as_slice() {
+                Source::Dense(v)
+            } else if let [x] = v {
+                Source::Scalar(*x)
             } else {
-                // simulate_shape succeeded, so every input broadcasts to
-                // the final shape (elementwise broadcasting composes)
-                accesses.push(Access::Mapped(v, BroadcastMap::new(t.shape(), &out_shape)));
-            }
-        }
-        let mut out = arena.take(n);
-        if n >= FUSED_PAR_MIN && autograph_par::threads() > 1 {
-            out.resize(n, 0.0);
-            let out_addr = out.as_mut_ptr() as usize;
-            autograph_par::parallel_for(n, 4096, &|range| {
-                for i in range {
-                    // SAFETY: chunks are disjoint, so each index is
-                    // written by exactly one thread; the buffer outlives
-                    // the call.
-                    unsafe { *(out_addr as *mut f32).add(i) = self.eval_element(&accesses, i) };
-                }
+                Source::Broadcast(v, BroadcastMap::new(t.shape(), &shape))
             });
-        } else {
-            for i in 0..n {
-                out.push(self.eval_element(&accesses, i));
-            }
         }
-        Tensor::from_vec(out, &out_shape).ok()
+        Some(FusedPlan {
+            spec: self,
+            sources,
+            shape,
+        })
     }
 
-    /// Evaluate the chain for one output element.
-    #[inline]
-    fn eval_element(&self, accesses: &[Access<'_>], i: usize) -> f32 {
-        let mut stack = [0.0f32; FUSED_MAX_STACK];
-        let mut top: usize = 0;
-        for op in &self.ops {
+    /// Whether this program can run fused over these inputs (see
+    /// [`FusedSpec::plan`]).
+    pub fn eligible(&self, inputs: &[&Tensor]) -> bool {
+        self.plan(inputs).is_some()
+    }
+
+    /// Plan and evaluate in one call, drawing the output buffer from
+    /// `arena`. Returns `None` when no plan exists — no side effects in
+    /// that case.
+    pub fn try_eval(&self, inputs: &[&Tensor], arena: &mut FusedArena) -> Option<Tensor> {
+        Some(self.plan(inputs)?.eval(arena))
+    }
+}
+
+impl FusedPlan<'_> {
+    /// Evaluate the program tile by tile, drawing the output buffer from
+    /// `arena`. Large outputs split across the worker pool in disjoint
+    /// chunks, each with its own tile scratch.
+    pub fn eval(self, arena: &mut FusedArena) -> Tensor {
+        let n = self.shape.iter().product();
+        let width = TILE.min(n);
+        let scratch_len = (self.spec.depth - 1) * width;
+        let mut out = arena.take(n);
+        out.resize(n, 0.0);
+        if n >= FUSED_PAR_MIN && autograph_par::threads() > 1 {
+            let out_addr = out.as_mut_ptr() as usize;
+            autograph_par::parallel_for(n, 4096, &|range| {
+                // SAFETY: `out` holds `n` initialized elements and is not
+                // touched again until `parallel_for` returns; its ranges
+                // lie within `0..n` and are disjoint, so no two of these
+                // slices overlap.
+                let chunk = unsafe {
+                    std::slice::from_raw_parts_mut(
+                        (out_addr as *mut f32).add(range.start),
+                        range.len(),
+                    )
+                };
+                let mut scratch = vec![0.0; scratch_len];
+                self.eval_range(range.start, chunk, &mut scratch, width);
+            });
+        } else {
+            self.eval_range(0, &mut out, arena.scratch(scratch_len), width);
+        }
+        Tensor::from_data(Data::F32(out), &self.shape)
+    }
+
+    /// Evaluate output elements `start..start + out.len()` into `out`.
+    fn eval_range(&self, start: usize, out: &mut [f32], scratch: &mut [f32], width: usize) {
+        for (t, tile) in out.chunks_mut(TILE).enumerate() {
+            self.eval_tile(start + t * TILE, tile, scratch, width);
+        }
+    }
+
+    /// One pass over the postfix program for one tile. Stack slot 0 is
+    /// `out`; slot `k > 0` is `scratch[(k - 1) * width..]`.
+    fn eval_tile(&self, start: usize, out: &mut [f32], scratch: &mut [f32], width: usize) {
+        let len = out.len();
+        let mut top = 0;
+        for op in &self.spec.ops {
             match op {
                 FusedOp::Input(s) => {
-                    stack[top] = accesses[*s as usize].get(i);
+                    let dst = if top == 0 {
+                        &mut *out
+                    } else {
+                        &mut scratch[(top - 1) * width..][..len]
+                    };
+                    match &self.sources[*s as usize] {
+                        Source::Dense(v) => dst.copy_from_slice(&v[start..start + len]),
+                        Source::Scalar(x) => dst.fill(*x),
+                        Source::Broadcast(v, m) => m.walk(start, len).gather(v, dst),
+                        Source::Unused => unreachable!("FusedSpec::new records every pushed slot"),
+                    }
                     top += 1;
                 }
                 other if other.arity() == 1 => {
-                    stack[top - 1] = other.apply1(stack[top - 1]);
+                    let a = if top == 1 {
+                        &mut *out
+                    } else {
+                        &mut scratch[(top - 2) * width..][..len]
+                    };
+                    other.apply1(a);
                 }
                 other => {
-                    stack[top - 2] = other.apply2(stack[top - 2], stack[top - 1]);
+                    // operands in slots top-2 (a, written) and top-1 (b)
+                    let (a, b) = if top == 2 {
+                        (&mut *out, &scratch[..len])
+                    } else {
+                        let (lo, hi) = scratch.split_at_mut((top - 2) * width);
+                        (&mut lo[(top - 3) * width..][..len], &hi[..len])
+                    };
+                    other.apply2(a, b);
                     top -= 1;
                 }
             }
         }
-        stack[0]
     }
 }
 
@@ -343,6 +437,9 @@ const ARENA_MAX_ELEMS: usize = 1 << 22;
 #[derive(Debug, Default)]
 pub struct FusedArena {
     free: Vec<Vec<f32>>,
+    /// Tile scratch for sequential evaluation, grown (and zero-filled)
+    /// only when a deeper or wider program needs more.
+    scratch: Vec<f32>,
 }
 
 impl FusedArena {
@@ -388,6 +485,14 @@ impl FusedArena {
         self.free.push(buf);
     }
 
+    /// At least `len` elements of reusable tile scratch.
+    fn scratch(&mut self, len: usize) -> &mut [f32] {
+        if self.scratch.len() < len {
+            self.scratch.resize(len, 0.0);
+        }
+        &mut self.scratch[..len]
+    }
+
     /// Number of buffers currently held.
     pub fn held(&self) -> usize {
         self.free.len()
@@ -431,69 +536,6 @@ mod tests {
             "fused result must be bitwise identical"
         );
         assert_eq!(fused.shape(), reference.shape());
-    }
-
-    #[test]
-    fn every_op_matches_its_kernel() {
-        let a = t(vec![0.5, -1.25, 2.0, -0.1], &[4]);
-        let b = t(vec![1.5, 0.4, -2.0, 3.0], &[4]);
-        let bins: Vec<(FusedOp, Tensor)> = vec![
-            (FusedOp::Add, a.add(&b).unwrap()),
-            (FusedOp::Sub, a.sub(&b).unwrap()),
-            (FusedOp::Mul, a.mul(&b).unwrap()),
-            (FusedOp::Div, a.div(&b).unwrap()),
-            (FusedOp::FloorDiv, a.floordiv(&b).unwrap()),
-            (FusedOp::Mod, a.rem(&b).unwrap()),
-            (FusedOp::Pow, a.pow(&b).unwrap()),
-            (FusedOp::Maximum, a.maximum(&b).unwrap()),
-            (FusedOp::Minimum, a.minimum(&b).unwrap()),
-        ];
-        let mut arena = FusedArena::new();
-        for (op, want) in bins {
-            let spec = FusedSpec::new(vec![FusedOp::Input(0), FusedOp::Input(1), op], 2).unwrap();
-            let got = spec.try_eval(&[&a, &b], &mut arena).unwrap();
-            assert_eq!(
-                got.as_f32()
-                    .unwrap()
-                    .iter()
-                    .map(|x| x.to_bits())
-                    .collect::<Vec<_>>(),
-                want.as_f32()
-                    .unwrap()
-                    .iter()
-                    .map(|x| x.to_bits())
-                    .collect::<Vec<_>>(),
-                "{op:?}"
-            );
-        }
-        let uns: Vec<(FusedOp, Tensor)> = vec![
-            (FusedOp::Neg, a.neg().unwrap()),
-            (FusedOp::Abs, a.abs().unwrap()),
-            (FusedOp::Sqrt, a.sqrt().unwrap()),
-            (FusedOp::Exp, a.exp().unwrap()),
-            (FusedOp::Log, a.log().unwrap()),
-            (FusedOp::Square, a.square().unwrap()),
-            (FusedOp::Tanh, a.tanh().unwrap()),
-            (FusedOp::Sigmoid, a.sigmoid().unwrap()),
-            (FusedOp::Relu, a.relu().unwrap()),
-        ];
-        for (op, want) in uns {
-            let spec = FusedSpec::new(vec![FusedOp::Input(0), op], 1).unwrap();
-            let got = spec.try_eval(&[&a], &mut arena).unwrap();
-            assert_eq!(
-                got.as_f32()
-                    .unwrap()
-                    .iter()
-                    .map(|x| x.to_bits())
-                    .collect::<Vec<_>>(),
-                want.as_f32()
-                    .unwrap()
-                    .iter()
-                    .map(|x| x.to_bits())
-                    .collect::<Vec<_>>(),
-                "{op:?}"
-            );
-        }
     }
 
     #[test]
@@ -590,6 +632,138 @@ mod tests {
         let out2 = spec.try_eval(&[&a], &mut arena).unwrap();
         assert_eq!(out2.as_f32().unwrap(), &[2.0, 3.0, 4.0, 5.0]);
         assert_eq!(arena.held(), 0, "recycled buffer was taken");
+    }
+
+    const BINARY: [FusedOp; 9] = [
+        FusedOp::Add,
+        FusedOp::Sub,
+        FusedOp::Mul,
+        FusedOp::Div,
+        FusedOp::FloorDiv,
+        FusedOp::Mod,
+        FusedOp::Pow,
+        FusedOp::Maximum,
+        FusedOp::Minimum,
+    ];
+    const UNARY: [FusedOp; 9] = [
+        FusedOp::Neg,
+        FusedOp::Abs,
+        FusedOp::Sqrt,
+        FusedOp::Exp,
+        FusedOp::Log,
+        FusedOp::Square,
+        FusedOp::Tanh,
+        FusedOp::Sigmoid,
+        FusedOp::Relu,
+    ];
+
+    /// The op-by-op kernel a fused step stands for.
+    fn kernel(op: FusedOp, a: &Tensor, b: &Tensor) -> Tensor {
+        match op {
+            FusedOp::Add => a.add(b),
+            FusedOp::Sub => a.sub(b),
+            FusedOp::Mul => a.mul(b),
+            FusedOp::Div => a.div(b),
+            FusedOp::FloorDiv => a.floordiv(b),
+            FusedOp::Mod => a.rem(b),
+            FusedOp::Pow => a.pow(b),
+            FusedOp::Maximum => a.maximum(b),
+            FusedOp::Minimum => a.minimum(b),
+            FusedOp::Neg => a.neg(),
+            FusedOp::Abs => a.abs(),
+            FusedOp::Sqrt => a.sqrt(),
+            FusedOp::Exp => a.exp(),
+            FusedOp::Log => a.log(),
+            FusedOp::Square => a.square(),
+            FusedOp::Tanh => a.tanh(),
+            FusedOp::Sigmoid => a.sigmoid(),
+            FusedOp::Relu => a.relu(),
+            FusedOp::Input(_) => unreachable!("not a kernel"),
+        }
+        .unwrap()
+    }
+
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.as_f32().unwrap().iter().map(|x| x.to_bits()).collect()
+    }
+
+    fn assert_fused_eq(spec: &FusedSpec, inputs: &[&Tensor], want: &Tensor, what: &str) {
+        let got = spec.try_eval(inputs, &mut FusedArena::new()).unwrap();
+        assert_eq!(got.shape(), want.shape(), "{what}");
+        assert_eq!(bits(&got), bits(want), "{what}");
+    }
+
+    /// Every op, at lengths on both sides of the tile and chunk
+    /// boundaries and past the parallel threshold (with the worker pool
+    /// on, so the chunked path runs), and with row, column, scalar and
+    /// middle-axis broadcasts on either operand: fused is bitwise equal
+    /// to op-by-op.
+    #[test]
+    fn tiled_eval_matches_op_by_op_bitwise() {
+        autograph_par::configure(4);
+        let mut rng = crate::Rng64::new(13);
+        let mut tensor = |shape: &[usize]| rng.uniform_tensor(shape, -3.0, 3.0);
+        let lens = [
+            0,
+            1,
+            TILE - 1,
+            TILE,
+            TILE + 1,
+            4095,
+            4097,
+            FUSED_PAR_MIN + 3,
+        ];
+        for n in lens {
+            let (a, b) = (tensor(&[n]), tensor(&[n]));
+            for op in UNARY {
+                let spec = FusedSpec::new(vec![FusedOp::Input(0), op], 1).unwrap();
+                let want = kernel(op, &a, &a);
+                assert_fused_eq(&spec, &[&a], &want, &format!("{op:?} n={n}"));
+            }
+            for op in BINARY {
+                let spec =
+                    FusedSpec::new(vec![FusedOp::Input(0), FusedOp::Input(1), op], 2).unwrap();
+                let want = kernel(op, &a, &b);
+                assert_fused_eq(&spec, &[&a, &b], &want, &format!("{op:?} n={n}"));
+            }
+        }
+        let full = tensor(&[33, 100]);
+        let mid = tensor(&[2, 700, 3]);
+        let cases = [
+            (full.clone(), tensor(&[100]), "row"),
+            (full.clone(), tensor(&[33, 1]), "column"),
+            (full, tensor(&[]), "scalar"),
+            (mid, tensor(&[2, 1, 3]), "middle axis"),
+        ];
+        for (x, y, kind) in &cases {
+            for op in BINARY {
+                let spec =
+                    FusedSpec::new(vec![FusedOp::Input(0), FusedOp::Input(1), op], 2).unwrap();
+                let want = kernel(op, x, y);
+                assert_fused_eq(&spec, &[x, y], &want, &format!("{op:?} {kind}"));
+                let want = kernel(op, y, x);
+                assert_fused_eq(&spec, &[y, x], &want, &format!("{op:?} {kind} swapped"));
+            }
+            // a deeper stack: tanh(x * y + sigmoid(y) - x)
+            let spec = FusedSpec::new(
+                vec![
+                    FusedOp::Input(0),
+                    FusedOp::Input(1),
+                    FusedOp::Mul,
+                    FusedOp::Input(1),
+                    FusedOp::Sigmoid,
+                    FusedOp::Input(0),
+                    FusedOp::Sub,
+                    FusedOp::Add,
+                    FusedOp::Tanh,
+                ],
+                2,
+            )
+            .unwrap();
+            let want = x.mul(y).unwrap();
+            let want = want.add(&y.sigmoid().unwrap().sub(x).unwrap()).unwrap();
+            assert_fused_eq(&spec, &[x, y], &want.tanh().unwrap(), kind);
+        }
     }
 
     #[test]

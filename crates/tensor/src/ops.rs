@@ -1,6 +1,6 @@
 //! Elementwise arithmetic, comparison and logical kernels with broadcasting.
 
-use crate::shape::BroadcastMap;
+use crate::shape::{BroadcastMap, BroadcastWalk};
 use crate::{broadcast_shapes, DType, Data, Result, Tensor, TensorError};
 
 /// Element count above which a same-shape f32 kernel is split across
@@ -38,16 +38,11 @@ fn binary_numeric(
         if let Some(fi) = f_i64 {
             let a = lhs.as_i64()?;
             let b = rhs.as_i64()?;
-            let mut out = Vec::with_capacity(n);
-            if lm.is_identity() && rm.is_identity() {
-                for i in 0..n {
-                    out.push(fi(a[i], b[i]));
-                }
+            let out = if lm.is_identity() && rm.is_identity() {
+                a.iter().zip(b).map(|(&x, &y)| fi(x, y)).collect()
             } else {
-                for i in 0..n {
-                    out.push(fi(a[lm.map(i)], b[rm.map(i)]));
-                }
-            }
+                zip_walk(&lm, &rm, n).map(|(i, j)| fi(a[i], b[j])).collect()
+            };
             return Ok(Tensor::from_data(Data::I64(out), &out_shape));
         }
     }
@@ -68,16 +63,13 @@ fn binary_numeric(
         });
         return Ok(Tensor::from_data(Data::F32(out), &out_shape));
     }
-    let mut out = Vec::with_capacity(n);
-    if lm.is_identity() && rm.is_identity() {
-        for i in 0..n {
-            out.push(f_f32(a[i], b[i]));
-        }
+    let out = if lm.is_identity() && rm.is_identity() {
+        a.iter().zip(b).map(|(&x, &y)| f_f32(x, y)).collect()
     } else {
-        for i in 0..n {
-            out.push(f_f32(a[lm.map(i)], b[rm.map(i)]));
-        }
-    }
+        zip_walk(&lm, &rm, n)
+            .map(|(i, j)| f_f32(a[i], b[j]))
+            .collect()
+    };
     Ok(Tensor::from_data(Data::F32(out), &out_shape))
 }
 
@@ -103,11 +95,17 @@ fn binary_compare(
     let a = a.as_f32()?;
     let b = b.as_f32()?;
     let n: usize = out_shape.iter().product();
-    let mut out = Vec::with_capacity(n);
-    for i in 0..n {
-        out.push(f(a[lm.map(i)], b[rm.map(i)]));
-    }
+    let out = zip_walk(&lm, &rm, n).map(|(i, j)| f(a[i], b[j])).collect();
     Ok(Tensor::from_data(Data::Bool(out), &out_shape))
+}
+
+/// Input-index pairs of both operands for output indices `0..n`.
+fn zip_walk<'a>(
+    lm: &'a BroadcastMap,
+    rm: &'a BroadcastMap,
+    n: usize,
+) -> impl Iterator<Item = (usize, usize)> + 'a {
+    lm.walk(0, n).zip(rm.walk(0, n))
 }
 
 impl Tensor {
@@ -395,7 +393,7 @@ impl Tensor {
             let a = self.as_bool()?;
             let b = rhs.as_bool()?;
             let n: usize = out_shape.iter().product();
-            let out: Vec<bool> = (0..n).map(|i| a[lm.map(i)] == b[rm.map(i)]).collect();
+            let out: Vec<bool> = zip_walk(&lm, &rm, n).map(|(i, j)| a[i] == b[j]).collect();
             return Ok(Tensor::from_data(Data::Bool(out), &out_shape));
         }
         binary_compare("equal", self, rhs, |a, b| a == b)
@@ -471,7 +469,7 @@ impl Tensor {
         let a = self.as_bool()?;
         let b = rhs.as_bool()?;
         let n: usize = out_shape.iter().product();
-        let out: Vec<bool> = (0..n).map(|i| f(a[lm.map(i)], b[rm.map(i)])).collect();
+        let out: Vec<bool> = zip_walk(&lm, &rm, n).map(|(i, j)| f(a[i], b[j])).collect();
         Ok(Tensor::from_data(Data::Bool(out), &out_shape))
     }
 
@@ -503,40 +501,19 @@ impl Tensor {
         let bm = BroadcastMap::new(b.shape(), &out_shape);
         let c = cond.as_bool()?;
         let n: usize = out_shape.iter().product();
+        // one output element per (cond, a, b) input-index triple
+        fn pick<T: Copy>(c: &[bool], av: &[T], bv: &[T], walks: [BroadcastWalk<'_>; 3]) -> Vec<T> {
+            let [cw, aw, bw] = walks;
+            cw.zip(aw)
+                .zip(bw)
+                .map(|((ci, ai), bi)| if c[ci] { av[ai] } else { bv[bi] })
+                .collect()
+        }
+        let walks = [cm.walk(0, n), am.walk(0, n), bm.walk(0, n)];
         let data = match (a.data(), b.data()) {
-            (Data::F32(av), Data::F32(bv)) => Data::F32(
-                (0..n)
-                    .map(|i| {
-                        if c[cm.map(i)] {
-                            av[am.map(i)]
-                        } else {
-                            bv[bm.map(i)]
-                        }
-                    })
-                    .collect(),
-            ),
-            (Data::I64(av), Data::I64(bv)) => Data::I64(
-                (0..n)
-                    .map(|i| {
-                        if c[cm.map(i)] {
-                            av[am.map(i)]
-                        } else {
-                            bv[bm.map(i)]
-                        }
-                    })
-                    .collect(),
-            ),
-            (Data::Bool(av), Data::Bool(bv)) => Data::Bool(
-                (0..n)
-                    .map(|i| {
-                        if c[cm.map(i)] {
-                            av[am.map(i)]
-                        } else {
-                            bv[bm.map(i)]
-                        }
-                    })
-                    .collect(),
-            ),
+            (Data::F32(av), Data::F32(bv)) => Data::F32(pick(c, av, bv, walks)),
+            (Data::I64(av), Data::I64(bv)) => Data::I64(pick(c, av, bv, walks)),
+            (Data::Bool(av), Data::Bool(bv)) => Data::Bool(pick(c, av, bv, walks)),
             _ => unreachable!("dtype equality checked above"),
         };
         Ok(Tensor::from_data(data, &out_shape))

@@ -92,9 +92,11 @@ pub fn broadcast_shapes(lhs: &[usize], rhs: &[usize]) -> Result<Vec<usize>> {
     Ok(out)
 }
 
-/// Iterator-free index mapping used by broadcast kernels: maps a flat index
-/// in the output shape to a flat index in a (possibly lower-rank,
-/// broadcast) input shape.
+/// Index mapping used by broadcast kernels: maps a flat index in the
+/// output shape to a flat index in a (possibly lower-rank, broadcast)
+/// input shape. [`BroadcastMap::map`] does it for one index with a
+/// div/mod per dimension; [`BroadcastMap::walk`] does it for a run of
+/// consecutive output indices with an odometer and no division.
 #[derive(Debug, Clone)]
 pub struct BroadcastMap {
     /// For each output dimension, the input stride (0 where broadcast).
@@ -146,6 +148,144 @@ impl BroadcastMap {
             idx += coord * self.strides[i];
         }
         idx
+    }
+
+    /// Walk the input indices of the `len` consecutive output indices
+    /// starting at flat output index `start`. Only the start position
+    /// costs a div/mod per dimension; every later step is an odometer
+    /// increment.
+    pub fn walk(&self, start: usize, len: usize) -> BroadcastWalk<'_> {
+        let rank = self.out_shape.len();
+        let mut coord = if rank <= INLINE_RANK {
+            Coords::Inline([0; INLINE_RANK])
+        } else {
+            Coords::Heap(vec![0; rank])
+        };
+        let (mut flat, mut idx) = (start, 0);
+        let dims = self.out_shape.iter().zip(&self.strides);
+        for (c, (&d, &s)) in coord.as_mut(rank).iter_mut().zip(dims).rev() {
+            // a zero-extent output has no elements to walk
+            if d > 0 {
+                *c = flat % d;
+                flat /= d;
+                idx += *c * s;
+            }
+        }
+        BroadcastWalk {
+            map: self,
+            coord,
+            idx,
+            remaining: len,
+        }
+    }
+}
+
+/// Output ranks up to this keep the walker's coordinates inline (no heap
+/// allocation); higher ranks spill to a `Vec`.
+const INLINE_RANK: usize = 8;
+
+#[derive(Debug, Clone)]
+enum Coords {
+    Inline([usize; INLINE_RANK]),
+    Heap(Vec<usize>),
+}
+
+impl Coords {
+    #[inline]
+    fn as_mut(&mut self, rank: usize) -> &mut [usize] {
+        match self {
+            Coords::Inline(c) => &mut c[..rank],
+            Coords::Heap(c) => c,
+        }
+    }
+}
+
+/// A strided odometer over a [`BroadcastMap`]: yields the flat input
+/// index of each consecutive output index, carrying into outer
+/// dimensions only when the innermost one wraps. Built by
+/// [`BroadcastMap::walk`].
+#[derive(Debug, Clone)]
+pub struct BroadcastWalk<'a> {
+    map: &'a BroadcastMap,
+    coord: Coords,
+    /// Input index of the current output position.
+    idx: usize,
+    remaining: usize,
+}
+
+impl BroadcastWalk<'_> {
+    /// Step `k` output positions forward along the innermost dimension
+    /// (`k` must not pass its end), carrying outward when it wraps.
+    #[inline]
+    fn advance(&mut self, k: usize) {
+        let rank = self.map.out_shape.len();
+        let (dims, strides) = (&self.map.out_shape, &self.map.strides);
+        let coord = self.coord.as_mut(rank);
+        let mut d = rank;
+        let mut step = k;
+        while d > 0 {
+            d -= 1;
+            coord[d] += step;
+            self.idx += step * strides[d];
+            if coord[d] < dims[d] {
+                return;
+            }
+            // wrapped: rewind this dimension and carry one into the next
+            self.idx -= dims[d] * strides[d];
+            coord[d] = 0;
+            step = 1;
+        }
+    }
+
+    /// Fill `dst` with the broadcast source elements of the next
+    /// `dst.len()` output positions, a run along the innermost dimension
+    /// at a time (a fill, a copy, or a strided gather).
+    pub fn gather<T: Copy>(&mut self, src: &[T], dst: &mut [T]) {
+        assert!(
+            dst.len() <= self.remaining,
+            "gather past the end of the walk"
+        );
+        self.remaining -= dst.len();
+        let Some(last) = self.map.out_shape.len().checked_sub(1) else {
+            dst.fill(src[self.idx]);
+            return;
+        };
+        let (dim, stride) = (self.map.out_shape[last], self.map.strides[last]);
+        let mut j = 0;
+        while j < dst.len() {
+            let run = (dim - self.coord.as_mut(last + 1)[last]).min(dst.len() - j);
+            let out = &mut dst[j..j + run];
+            match stride {
+                0 => out.fill(src[self.idx]),
+                1 => out.copy_from_slice(&src[self.idx..self.idx + run]),
+                s => {
+                    for (k, o) in out.iter_mut().enumerate() {
+                        *o = src[self.idx + k * s];
+                    }
+                }
+            }
+            self.advance(run);
+            j += run;
+        }
+    }
+}
+
+impl Iterator for BroadcastWalk<'_> {
+    type Item = usize;
+
+    #[inline]
+    fn next(&mut self) -> Option<usize> {
+        if self.remaining == 0 {
+            return None;
+        }
+        self.remaining -= 1;
+        let idx = self.idx;
+        self.advance(1);
+        Some(idx)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.remaining, Some(self.remaining))
     }
 }
 
@@ -207,6 +347,51 @@ mod tests {
             (0..6).map(|i| m.map(i)).collect::<Vec<_>>(),
             vec![0, 0, 0, 1, 1, 1]
         );
+    }
+
+    /// The walker yields exactly what `map` does, from any start offset,
+    /// both per element and through `gather`.
+    #[test]
+    fn walk_matches_map_on_random_shapes() {
+        let mut rng = crate::Rng64::new(0x5eed);
+        let mut pick = |n: usize| (rng.next_u64() % n as u64) as usize;
+        for case in 0..400 {
+            let rank = pick(5);
+            let out: Vec<usize> = (0..rank).map(|_| 1 + pick(4)).collect();
+            // drop leading dims, then broadcast some of the rest to 1
+            let drop = pick(rank + 1);
+            let input: Vec<usize> = out[drop..]
+                .iter()
+                .map(|&d| if pick(3) == 0 { 1 } else { d })
+                .collect();
+            let m = BroadcastMap::new(&input, &out);
+            let n: usize = out.iter().product();
+            let src: Vec<usize> = (0..input.iter().product()).collect();
+            let start = pick(n + 1);
+            let want: Vec<usize> = (start..n).map(|i| m.map(i)).collect();
+            let walked: Vec<usize> = m.walk(start, n - start).collect();
+            assert_eq!(
+                walked, want,
+                "case {case}: {input:?} -> {out:?} from {start}"
+            );
+            let mut gathered = vec![usize::MAX; n - start];
+            m.walk(start, n - start).gather(&src, &mut gathered);
+            assert_eq!(gathered, want, "gather case {case}");
+        }
+    }
+
+    #[test]
+    fn walk_handles_high_rank_and_empty_outputs() {
+        let out = [2, 1, 3, 1, 2, 1, 2, 1, 2, 3];
+        let input = [3, 1, 1, 1, 2, 1, 2, 1];
+        let m = BroadcastMap::new(&input, &out);
+        let n: usize = out.iter().product();
+        let want: Vec<usize> = (0..n).map(|i| m.map(i)).collect();
+        assert_eq!(m.walk(0, n).collect::<Vec<_>>(), want);
+        let empty = BroadcastMap::new(&[3], &[0, 3]);
+        assert_eq!(empty.walk(0, 0).count(), 0);
+        let scalar = BroadcastMap::new(&[], &[]);
+        assert_eq!(scalar.walk(0, 1).collect::<Vec<_>>(), vec![0]);
     }
 
     #[test]

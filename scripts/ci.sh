@@ -33,6 +33,12 @@ AUTOGRAPH_THREADS=1 cargo test -q --workspace
 echo "== cargo test (AUTOGRAPH_THREADS=4)"
 AUTOGRAPH_THREADS=4 cargo test -q --workspace
 
+# the benchmark is a package of its own outside the workspace: build it
+# and run its unit tests here, so a public-API change it depends on
+# (e.g. the fused kernel's) fails locally rather than in the benchmark
+echo "== perfbench build + unit tests"
+CARGO_TARGET_DIR=target/perfbench cargo test --offline -q --manifest-path perfbench/Cargo.toml
+
 # chaos suite: deterministic fault injection over the differential corpus,
 # two seed families (each test internally covers threads 1 and 4 and a
 # second derived seed) — every injected fault must surface as a structured

@@ -172,3 +172,44 @@ fn vm_repeated_runs_are_bitwise_stable() {
         assert_eq!(sess.stats().plan_cache_hits, 3, "{}", p.name);
     }
 }
+
+/// Paper-shape cell: the Table 1 RNN at hidden 256 and batch 32 over a
+/// short sequence. The cell's fused `tanh(x·Wx + h·Wh + b)` spans 8192
+/// elements (many kernel tiles) with a broadcast bias — a scale the
+/// corpus programs never reach — and must still match the interpreter
+/// bitwise, with the same dispatch count, at 1 and 4 threads.
+#[test]
+fn vm_paper_shape_rnn_bitwise_identical_to_interpreter() {
+    use autograph_models::rnn;
+    let (batch, time, feat, hidden) = (32, 3, 64, 256);
+    let weights = rnn::RnnWeights::new(feat, hidden, 7);
+    let inp = rnn::inputs(batch, time, feat, hidden, 11);
+    let mut rt = rnn::runtime(&weights, true).expect("load");
+    let staged = rnn::stage_autograph(&mut rt).expect("stage");
+    let feeds = [
+        ("input_data", inp.input_data),
+        ("initial_state", inp.initial_state),
+        ("sequence_len", inp.sequence_len),
+    ];
+    let (reference, _, ref_stats) =
+        run_mode(&staged.graph, &staged.outputs, &feeds, ExecMode::Interp, 1);
+    for threads in [1, 4] {
+        let (out, _, stats) = run_mode(
+            &staged.graph,
+            &staged.outputs,
+            &feeds,
+            ExecMode::Vm,
+            threads,
+        );
+        check::assert_bitwise_eq(
+            "rnn h256 b32",
+            &format!("Vm t{threads} vs Interp t1"),
+            &out,
+            &reference,
+        );
+        assert_eq!(
+            stats.nodes_executed, ref_stats.nodes_executed,
+            "Vm t{threads}: dispatch count drifted"
+        );
+    }
+}
