@@ -30,7 +30,8 @@ impl Tensor {
                         detail: format!("{:?} x {:?}", a.shape(), b.shape()),
                     });
                 }
-                let out = matmul_2d(a.as_f32()?, b.as_f32()?, m, k, n);
+                let mut out = vec![0.0f32; m * n];
+                matmul_2d(a.as_f32()?, b.as_f32()?, m, k, n, &mut out);
                 Ok(Tensor::from_data(Data::F32(out), &[m, n]))
             }
             (3, 3) => {
@@ -44,15 +45,16 @@ impl Tensor {
                 }
                 let av = a.as_f32()?;
                 let bv = b.as_f32()?;
-                let mut out = Vec::with_capacity(bt * m * n);
+                let mut out = vec![0.0f32; bt * m * n];
                 for i in 0..bt {
-                    out.extend(matmul_2d(
+                    matmul_2d(
                         &av[i * m * k..(i + 1) * m * k],
                         &bv[i * k * n..(i + 1) * k * n],
                         m,
                         k,
                         n,
-                    ));
+                        &mut out[i * m * n..(i + 1) * m * n],
+                    );
                 }
                 Ok(Tensor::from_data(Data::F32(out), &[bt, m, n]))
             }
@@ -150,44 +152,156 @@ impl Tensor {
 /// worker pool costs more than it saves.
 const MATMUL_PAR_MIN_FLOPS: usize = 1 << 18;
 
-/// Inner loop: (m,k) x (k,n) with i-k-j ordering for cache-friendly
-/// access. Large products split by output rows across the shared worker
-/// pool; each row is produced by exactly one thread with the identical
-/// accumulation order of the sequential loop, so the result is bitwise
-/// independent of the thread count.
-fn matmul_2d(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
-    let mut out = vec![0.0f32; m * n];
-    if autograph_par::threads() > 1 && m > 1 && 2 * m * k * n >= MATMUL_PAR_MIN_FLOPS {
-        // rows are disjoint slices of `out`; share the base pointer as an
-        // integer because raw pointers are not Sync
+/// Rows of one register tile of the matmul kernel.
+const MR: usize = 4;
+/// Columns of one register tile of the matmul kernel.
+const NR: usize = 16;
+
+/// `out = a · b` for row-major (m,k) × (k,n) into `out`, which must hold
+/// `m * n` zeros. Rows go in blocks of `MR` through the register-tiled
+/// kernel; the rows past the last full block go through `matmul_row`.
+/// Large products split across the shared worker pool by blocks, each
+/// written by exactly one thread with the operations of the sequential
+/// loop, so the result is bitwise independent of the thread count.
+fn matmul_2d(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, out: &mut [f32]) {
+    let split = autograph_par::threads() > 1 && 2 * m * k * n >= MATMUL_PAR_MIN_FLOPS;
+    matmul_blocks(Kernel::best(), split, a, b, k, n, out);
+}
+
+/// The body of `matmul_2d` with the kernel and the split chosen by the
+/// caller; `m` is `out.len() / n`.
+fn matmul_blocks(
+    kernel: Kernel,
+    split: bool,
+    a: &[f32],
+    b: &[f32],
+    k: usize,
+    n: usize,
+    out: &mut [f32],
+) {
+    if k == 0 || n == 0 {
+        return;
+    }
+    let m = out.len() / n;
+    let block = |blk: usize, oblk: &mut [f32]| {
+        let ablk = &a[blk * MR * k..m.min((blk + 1) * MR) * k];
+        if ablk.len() == MR * k {
+            kernel.run(ablk, b, k, n, oblk);
+        } else {
+            for (arow, orow) in ablk.chunks_exact(k).zip(oblk.chunks_exact_mut(n)) {
+                matmul_row(arow, b, n, 0, orow);
+            }
+        }
+    };
+    if split {
+        // blocks are disjoint slices of `out`; share the base pointer as
+        // an integer because raw pointers are not Sync
         let out_addr = out.as_mut_ptr() as usize;
-        autograph_par::parallel_for(m, 1, &|rows| {
-            for i in rows {
-                // SAFETY: each row index lands in exactly one chunk, so
-                // the m row slices are written by exactly one thread each
-                // and none outlives `out`.
-                let orow =
-                    unsafe { std::slice::from_raw_parts_mut((out_addr as *mut f32).add(i * n), n) };
-                matmul_row(&a[i * k..(i + 1) * k], b, n, orow);
+        autograph_par::parallel_for(m.div_ceil(MR), 1, &|blocks| {
+            for blk in blocks {
+                let rows = blk * MR..m.min((blk + 1) * MR);
+                // SAFETY: each block index lands in exactly one chunk, so
+                // the row ranges are disjoint, lie within the `m * n`
+                // elements of `out`, and none of them outlives `out`.
+                let oblk = unsafe {
+                    std::slice::from_raw_parts_mut(
+                        (out_addr as *mut f32).add(rows.start * n),
+                        rows.len() * n,
+                    )
+                };
+                block(blk, oblk);
             }
         });
     } else {
-        for i in 0..m {
-            matmul_row(&a[i * k..(i + 1) * k], b, n, &mut out[i * n..(i + 1) * n]);
+        for (blk, oblk) in out.chunks_mut(MR * n).enumerate() {
+            block(blk, oblk);
         }
     }
-    out
 }
 
-/// One output row: `orow += arow · B`, skipping zero multiplicands.
-fn matmul_row(arow: &[f32], b: &[f32], n: usize, orow: &mut [f32]) {
+/// One compiled body of the `MR`-row block kernel. It only ever holds a
+/// body this CPU can run: the baseline one, or one whose target features
+/// were detected at runtime.
+#[derive(Clone, Copy)]
+struct Kernel(unsafe fn(&[f32], &[f32], usize, usize, &mut [f32]));
+
+impl Kernel {
+    const BASELINE: Kernel = Kernel(block_body);
+
+    /// The AVX2 body, when this CPU has AVX2.
+    fn avx2() -> Option<Kernel> {
+        #[cfg(target_arch = "x86_64")]
+        if std::is_x86_feature_detected!("avx2") {
+            return Some(Kernel(block_avx2));
+        }
+        None
+    }
+
+    /// The widest body this CPU can run.
+    fn best() -> Kernel {
+        Self::avx2().unwrap_or(Self::BASELINE)
+    }
+
+    fn run(self, a: &[f32], b: &[f32], k: usize, n: usize, out: &mut [f32]) {
+        // SAFETY: a `Kernel` holds only bodies whose target features this
+        // CPU has (see `avx2`).
+        unsafe { (self.0)(a, b, k, n, out) }
+    }
+}
+
+/// `block_body` compiled with AVX2 enabled. Only for CPUs that have it.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn block_avx2(a: &[f32], b: &[f32], k: usize, n: usize, out: &mut [f32]) {
+    block_body(a, b, k, n, out);
+}
+
+/// One block: `out` (`MR` rows of n) = `a` (`MR` rows of k) · `b`. Every
+/// output element gets exactly the operations `matmul_row` gives it: it
+/// starts at +0.0 and, for ascending `p` with `a[i][p] != 0.0`, adds the
+/// product `a[i][p] * b[p][j]` (a multiply, then an add; never fused).
+/// Only the order across elements differs: an `MR` × `NR` tile of sums
+/// stays in registers for the whole `p` loop. Columns past the last full
+/// tile take the row loop.
+#[inline(always)]
+fn block_body(a: &[f32], b: &[f32], k: usize, n: usize, out: &mut [f32]) {
+    let rows: [&[f32]; MR] = std::array::from_fn(|r| &a[r * k..(r + 1) * k]);
+    let nfull = n - n % NR;
+    for j0 in (0..nfull).step_by(NR) {
+        let mut acc = [[0.0f32; NR]; MR];
+        for p in 0..k {
+            let bp = &b[p * n + j0..p * n + j0 + NR];
+            for (acc, row) in acc.iter_mut().zip(&rows) {
+                let av = row[p];
+                if av != 0.0 {
+                    for (c, &bv) in acc.iter_mut().zip(bp) {
+                        *c += av * bv;
+                    }
+                }
+            }
+        }
+        for (orow, acc) in out.chunks_exact_mut(n).zip(&acc) {
+            orow[j0..j0 + NR].copy_from_slice(acc);
+        }
+    }
+    if nfull < n {
+        for (arow, orow) in rows.iter().zip(out.chunks_exact_mut(n)) {
+            matmul_row(arow, b, n, nfull, &mut orow[nfull..]);
+        }
+    }
+}
+
+/// Columns `j0..n` of one output row: `orow += arow · b[.., j0..]`,
+/// skipping zero multiplicands.
+#[inline(always)]
+fn matmul_row(arow: &[f32], b: &[f32], n: usize, j0: usize, orow: &mut [f32]) {
     for (p, &av) in arow.iter().enumerate() {
         if av == 0.0 {
             continue;
         }
-        let brow = &b[p * n..(p + 1) * n];
-        for j in 0..n {
-            orow[j] += av * brow[j];
+        let brow = &b[p * n + j0..(p + 1) * n];
+        for (o, &bv) in orow.iter_mut().zip(brow) {
+            *o += av * bv;
         }
     }
 }
@@ -277,17 +391,10 @@ mod tests {
         assert!(a.transpose(&[0, 2]).is_err());
     }
 
-    #[test]
-    fn matmul_parallel_bitwise_matches_sequential() {
-        // large enough to clear MATMUL_PAR_MIN_FLOPS (2*64^3 = 524288)
-        let (m, k, n) = (64usize, 64usize, 64usize);
-        let av: Vec<f32> = (0..m * k)
-            .map(|i| ((i * 37 % 101) as f32) * 0.13 - 5.0)
-            .collect();
-        let bv: Vec<f32> = (0..k * n)
-            .map(|i| ((i * 53 % 97) as f32) * 0.11 - 4.0)
-            .collect();
-        // ground truth with the identical i-k-j accumulation order
+    /// The scalar i-k-j loop every matmul kernel must match bit for bit:
+    /// each output starts at +0.0 and adds `a * b` for ascending `p`,
+    /// skipping zero multiplicands.
+    fn reference_matmul(av: &[f32], bv: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
         let mut want = vec![0.0f32; m * n];
         for i in 0..m {
             for p in 0..k {
@@ -300,12 +407,104 @@ mod tests {
                 }
             }
         }
+        want
+    }
+
+    /// Bit equality, except that any NaN matches any NaN. Rust leaves
+    /// unspecified which payload a NaN computed from two NaN operands
+    /// carries; the compiler's operand order picks it, and it differs
+    /// between builds of the same loop (inf − inf then + NaN gives
+    /// 0xffc00000 from the row loop built with optimizations, 0x7fc00000
+    /// without).
+    fn assert_bitwise(got: &[f32], want: &[f32], what: &str) {
+        assert_eq!(got.len(), want.len(), "{what}: length");
+        for (idx, (g, w)) in got.iter().zip(want).enumerate() {
+            assert!(
+                g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan()),
+                "{what}: element {idx}: {g} ({:#x}) vs {w} ({:#x})",
+                g.to_bits(),
+                w.to_bits()
+            );
+        }
+    }
+
+    #[test]
+    fn matmul_parallel_bitwise_matches_sequential() {
+        // large enough to clear MATMUL_PAR_MIN_FLOPS (2*64^3 = 524288)
+        let (m, k, n) = (64usize, 64usize, 64usize);
+        let av: Vec<f32> = (0..m * k)
+            .map(|i| ((i * 37 % 101) as f32) * 0.13 - 5.0)
+            .collect();
+        let bv: Vec<f32> = (0..k * n)
+            .map(|i| ((i * 53 % 97) as f32) * 0.11 - 4.0)
+            .collect();
+        let want = reference_matmul(&av, &bv, m, k, n);
         autograph_par::configure(4);
         let at = Tensor::from_vec(av, &[m, k]).unwrap();
         let bt = Tensor::from_vec(bv, &[k, n]).unwrap();
         let got = at.matmul(&bt).unwrap();
-        for (g, w) in got.as_f32().unwrap().iter().zip(&want) {
-            assert_eq!(g.to_bits(), w.to_bits());
+        assert_bitwise(got.as_f32().unwrap(), &want, "64x64x64");
+    }
+
+    /// Finite values with zeros and -0.0 planted in `a` (on every row, so
+    /// in full tiles and in the rows past them) and infinities and NaNs
+    /// planted in `b`: in a column of every tile, in the last column (past
+    /// the last full tile unless `n % NR == 0`) and where an inf − inf
+    /// NaN meets a planted NaN.
+    fn edge_inputs(m: usize, k: usize, n: usize) -> (Vec<f32>, Vec<f32>) {
+        let av = (0..m * k)
+            .map(|x| {
+                let (i, p) = (x / k, x % k);
+                if (i + p) % 5 == 0 {
+                    0.0
+                } else if (3 * i + p) % 7 == 2 {
+                    -0.0
+                } else {
+                    ((x * 37 % 101) as f32) * 0.13 - 6.5
+                }
+            })
+            .collect();
+        let bv = (0..k * n)
+            .map(|x| {
+                let (p, j) = (x / n, x % n);
+                match (p, j % NR, j + 1 == n) {
+                    (p, 3, _) if p == k / 2 => f32::INFINITY,
+                    (p, 3, _) if p == k / 3 => f32::NEG_INFINITY,
+                    (p, 9, _) if p == k - 1 => f32::NAN,
+                    (0, _, true) => f32::INFINITY,
+                    (1, _, true) => f32::NEG_INFINITY,
+                    (2, _, true) => f32::NAN,
+                    _ => ((x * 53 % 97) as f32) * 0.11 - 5.0,
+                }
+            })
+            .collect();
+        (av, bv)
+    }
+
+    /// Every compiled kernel body, with the pool split on and off, matches
+    /// the scalar loop bit for bit on shapes around the tile edges. The
+    /// unsplit run is what a pool of one thread does; the split run goes
+    /// through a pool of four.
+    #[test]
+    fn matmul_kernels_bitwise_match_reference_on_tile_edges() {
+        autograph_par::configure(4);
+        let mut kernels = vec![("baseline", Kernel::BASELINE)];
+        kernels.extend(Kernel::avx2().map(|k| ("avx2", k)));
+        for m in [1, 3, 4, 5, 31, 32, 33] {
+            for n in [1, 15, 16, 17, 255, 256, 257] {
+                for k in [1, 8, 64, 256] {
+                    let (av, bv) = edge_inputs(m, k, n);
+                    let want = reference_matmul(&av, &bv, m, k, n);
+                    for &(name, kernel) in &kernels {
+                        for split in [false, true] {
+                            let mut got = vec![0.0f32; m * n];
+                            matmul_blocks(kernel, split, &av, &bv, k, n, &mut got);
+                            let what = format!("{name} split={split} {m}x{k}x{n}");
+                            assert_bitwise(&got, &want, &what);
+                        }
+                    }
+                }
+            }
         }
     }
 

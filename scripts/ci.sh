@@ -33,6 +33,13 @@ AUTOGRAPH_THREADS=1 cargo test -q --workspace
 echo "== cargo test (AUTOGRAPH_THREADS=4)"
 AUTOGRAPH_THREADS=4 cargo test -q --workspace
 
+# the suites above are debug builds, so the kernels' bitwise tests never
+# see the code that ships: the matmul tile is auto-vectorized (and, on
+# AVX2 hosts, built a second time for 8-wide lanes) only with
+# optimizations on. Rerun the tensor crate's tests on the release build.
+echo "== cargo test --release (autograph-tensor kernels, optimized)"
+cargo test --release -q -p autograph-tensor
+
 # the benchmark is a package of its own outside the workspace: build it
 # and run its unit tests here, so a public-API change it depends on
 # (e.g. the fused kernel's) fails locally rather than in the benchmark

@@ -1000,3 +1000,46 @@ def restart_g(x):
     assert!(report.clean);
     let _ = std::fs::remove_dir_all(&cache_dir);
 }
+
+/// A body of 400 000 nested `[` used to overflow the connection thread's
+/// stack in the recursive JSON decoder and abort the whole server. It
+/// must come back as a 400 `bad_request`, and the server must keep
+/// answering: `/healthz` and a normal `score` request, whose result is
+/// bitwise-identical to the one served before the hostile body.
+#[test]
+fn deeply_nested_json_body_is_a_400_not_a_crash() {
+    let _l = lock();
+    let src = include_str!("../examples/serve/mlp.pylite");
+    let server = boot(src, ServerConfig::default(), &RegistryConfig::default());
+    let addr = server.addr().to_string();
+    let arg = Tensor::from_vec(vec![0.5, -1.25, 3.0], &[3]).expect("tensor");
+    let score = |c: &mut Client| {
+        let resp = c
+            .run("score", &body_for(&[&arg]), Some(30_000))
+            .expect("score request");
+        assert_eq!(resp.status, 200, "{}", resp.text());
+        parse_outputs(&resp.text()).expect("outputs")
+    };
+    let before = score(&mut Client::connect(&addr).expect("connect"));
+
+    let mut c = Client::connect(&addr).expect("connect");
+    let resp = c
+        .run("score", &"[".repeat(400_000), Some(30_000))
+        .expect("nested body gets a response");
+    assert_eq!(resp.status, 400, "{}", resp.text());
+    assert!(
+        resp.text().contains("\"kind\":\"bad_request\"")
+            && resp.text().contains("recursion limit exceeded"),
+        "{}",
+        resp.text()
+    );
+
+    let mut c = Client::connect(&addr).expect("connect after hostile body");
+    let health = c.request("GET", "/healthz", "", "").expect("GET /healthz");
+    assert_eq!(health.status, 200, "{}", health.text());
+    let after = score(&mut c);
+    assert_bitwise_eq("score", "after nested body vs before", &after, &before);
+
+    let report = server.shutdown(Duration::from_secs(5));
+    assert!(report.clean);
+}
